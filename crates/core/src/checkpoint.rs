@@ -1,25 +1,28 @@
-//! Checkpoint/resume for the stage-graph flow.
+//! Checkpoint/resume as a [`FlowContext`] policy.
 //!
-//! [`run_flow_checkpointed`] runs the same eight-stage pipeline as
-//! [`run_flow`](crate::flow::run_flow), but persists every completed
-//! stage artifact to a directory as it goes. A flow that is killed (or
-//! deliberately interrupted with `interrupt_after`, the engine behind
-//! `lily-check --kill-after`) can be re-run against the same directory
-//! and resumes from the last completed stage: restored artifacts are
-//! decoded bit-exactly — every `f64` round-trips through
-//! [`hex_f64`]/[`f64_from_hex`] — so the resumed flow's result is
-//! identical to an uninterrupted run, modulo stage wall times.
+//! A [`CheckpointStore`] installed with
+//! [`FlowContext::with_checkpoints`] makes [`FlowContext::run`] persist
+//! every completed stage artifact to a directory as the flow goes. A
+//! flow that is killed (or deliberately interrupted after a named
+//! stage, the engine behind `lily-check --kill-after`) can be re-run
+//! against the same directory and resumes from the last completed
+//! stage: restored artifacts are decoded bit-exactly — every `f64`
+//! round-trips through [`hex_f64`]/[`f64_from_hex`] — so the resumed
+//! flow's result is identical to an uninterrupted run, modulo stage
+//! wall times. Each artifact type's stored form is its [`Codec`] impl.
 //!
 //! The directory holds one `NN-<stage>.json` artifact file per
 //! completed stage plus a `manifest.json` that records, per stage, the
 //! artifact file, its metrics record, and the degradation-audit /
 //! retry-counter deltas the stage produced — restoring a stage replays
-//! its observable history, not just its data.
+//! its observable history, not just its data. A restored stage arms no
+//! faults: its history already holds whatever the plan did to it.
 //!
 //! Robustness rules (DESIGN.md §12):
 //!
-//! - A manifest written by a different `(options, input)` pair — the
-//!   fingerprint mismatch — is ignored wholesale and overwritten.
+//! - A manifest written by a different `(options, fault plan, input)`
+//!   triple — the fingerprint mismatch — is ignored wholesale and
+//!   overwritten.
 //! - A *corrupt* artifact never fails the flow: the stage recomputes,
 //!   audited as a `"checkpoint"` → `"recomputed"` degradation, and the
 //!   stale checkpoint suffix is discarded.
@@ -27,89 +30,64 @@
 //!   [`MapError::Checkpoint`].
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use crate::cover::MapStats;
 use crate::error::MapError;
-use crate::flow::{
-    degenerate_guard, trivial_result, Degradation, FlowArtifacts, FlowMetrics, FlowOptions,
-    FlowResult,
-};
+use crate::flow::{stats_json, Degradation, FlowMapper, FlowOptions, Rung};
 use crate::json::{array, f64_from_hex, hex_f64, Json, JsonObject};
 use crate::stage::{
-    mapped_problem, AssignPads, Decompose, DetailedPlace, FlowContext, LegalPlacement, Legalize,
-    Map, Mapping, PadPlan, PlacedDesign, RouteEstimate, RouteFigures, Sta, SubjectImage,
-    SubjectPlace, TimingArtifact,
+    placement_setup, FlowContext, LegalPlacement, Mapping, PadPlan, PlacedDesign, RouteFigures,
+    StageArtifact, SubjectImage, TimingArtifact,
 };
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
+use lily_fault::FaultPlan;
 use lily_netlist::{LifeCycleStats, Network, SubjectGraph, SubjectKind, SubjectNodeId};
 use lily_place::legalize::Legalized;
 use lily_place::{Point, Rect, SubjectPlacement};
 use lily_timing::{Arrival, StaResult};
 
-// ---------------------------------------------------------------------
-// Intern tables
-// ---------------------------------------------------------------------
-//
-// Stage records and degradation audits carry `&'static str` names; a
-// decoded checkpoint must map stored strings back onto the canonical
-// statics. An unknown string means the file was not written by this
-// code (or was corrupted) — the decode fails and the stage recomputes.
-
 /// The eight stage names in pipeline order — the valid values of
-/// `interrupt_after` (and `lily-check --kill-after`).
-pub const STAGE_NAMES: [&str; 8] = [
-    "decompose",
-    "assign-pads",
-    "subject-place",
-    "map",
-    "legalize",
-    "detailed-place",
-    "route-estimate",
-    "sta",
-];
+/// a store's interrupt stage (and `lily-check --kill-after`).
+pub use lily_fault::STAGE_NAMES;
 
-const UNITS: [&str; 5] = ["nodes", "pads", "points", "cells", "nets"];
-
-const FLOWS: [&str; 4] = ["mis", "lily", "cut", "shared"];
-
-const DEGRADE_STAGES: [&str; 7] = [
-    "lily-global-place",
-    "mapped-global-place",
-    "detailed-placement",
-    "anneal",
-    "wire-load",
-    "detailed-place",
-    "checkpoint",
-];
-
-const FALLBACKS: [&str; 8] = [
-    "mis-mapper",
-    "mapper-positions",
-    "core-center-seed",
-    "greedy",
-    "per-fanout",
-    "no-wire-load",
-    "legalized-only",
-    "recomputed",
-];
-
-fn intern(table: &[&'static str], s: &str) -> Result<&'static str, String> {
-    table.iter().find(|t| **t == s).copied().ok_or_else(|| format!("unknown name `{s}`"))
+/// Resolves a stored degradation entry onto the canonical statics. An
+/// unknown name means the manifest was not written by this code (or was
+/// corrupted) and is treated as torn.
+fn intern_degradation(
+    flow: &str,
+    stage: &str,
+    fallback: &str,
+    detail: &str,
+) -> Result<Degradation, String> {
+    let flow = [FlowMapper::Mis, FlowMapper::Lily, FlowMapper::Cut]
+        .map(FlowMapper::tag)
+        .into_iter()
+        .chain(["shared"])
+        .find(|t| *t == flow)
+        .ok_or_else(|| format!("unknown flow `{flow}`"))?;
+    let (stage, fallback) = Rung::ALL
+        .iter()
+        .map(|r| r.names())
+        .find(|names| *names == (stage, fallback))
+        .ok_or_else(|| format!("unknown degradation `{stage}` → `{fallback}`"))?;
+    Ok(Degradation { flow, stage, fallback, detail: detail.to_string() })
 }
 
 // ---------------------------------------------------------------------
 // Fingerprint
 // ---------------------------------------------------------------------
 
-/// FNV-1a 64 over the flow configuration and the input's coarse shape.
-/// A checkpoint directory whose manifest carries a different
-/// fingerprint belongs to a different run and is ignored wholesale.
-/// (The per-node artifact replay below catches finer divergence: a
-/// restored subject graph is rebuilt node by node and any mismatch
-/// discards the checkpoint.)
-fn fingerprint(net: &Network, options: &FlowOptions) -> u64 {
+/// FNV-1a 64 over the flow configuration, the fault plan, and the
+/// input's coarse shape. A checkpoint directory whose manifest carries
+/// a different fingerprint belongs to a different run and is ignored
+/// wholesale. (The per-node artifact replay below catches finer
+/// divergence: a restored subject graph is rebuilt node by node and any
+/// mismatch discards the checkpoint.) An empty plan adds nothing, so
+/// fault-free fingerprints are those of directories written before
+/// plans were part of it.
+pub(crate) fn fingerprint(net: &Network, options: &FlowOptions, plan: &FaultPlan) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
         for &b in bytes {
@@ -122,6 +100,9 @@ fn fingerprint(net: &Network, options: &FlowOptions) -> u64 {
     eat(&(net.input_count() as u64).to_le_bytes());
     eat(&(net.output_count() as u64).to_le_bytes());
     eat(&(net.node_count() as u64).to_le_bytes());
+    if !plan.is_empty() {
+        eat(format!("{plan:?}").as_bytes());
+    }
     h
 }
 
@@ -159,12 +140,17 @@ fn encode_points(points: &[Point]) -> String {
     hex_array(points.iter().flat_map(|p| [p.x, p.y]))
 }
 
-fn decode_points(v: &Json, key: &str) -> Result<Vec<Point>, String> {
+/// Decodes a flat hex array of `(a, b)` pairs through `pair`.
+fn decode_pairs<T>(v: &Json, key: &str, pair: impl Fn(f64, f64) -> T) -> Result<Vec<T>, String> {
     let flat = decode_hex_array(v, key)?;
     if flat.len() % 2 != 0 {
-        return Err(format!("odd point array `{key}`"));
+        return Err(format!("odd pair array `{key}`"));
     }
-    Ok(flat.chunks_exact(2).map(|c| Point::new(c[0], c[1])).collect())
+    Ok(flat.chunks_exact(2).map(|c| pair(c[0], c[1])).collect())
+}
+
+fn decode_points(v: &Json, key: &str) -> Result<Vec<Point>, String> {
+    decode_pairs(v, key, Point::new)
 }
 
 fn encode_rect(r: Rect) -> String {
@@ -197,134 +183,167 @@ fn array_field<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], String> {
 // Artifact codecs
 // ---------------------------------------------------------------------
 
-fn encode_subject(g: &SubjectGraph) -> String {
-    let nodes = array(g.kinds().iter().map(|k| {
-        let body = match k {
-            SubjectKind::Input(_) => "i".to_string(),
-            SubjectKind::Nand2(a, b) => format!("n:{}:{}", a.index(), b.index()),
-            SubjectKind::Inv(a) => format!("v:{}", a.index()),
-        };
-        format!("\"{body}\"")
-    }));
-    let outputs = array(g.outputs().iter().map(|o| {
-        JsonObject::new().string("name", &o.name).uint("driver", o.driver.index() as u64).finish()
-    }));
-    JsonObject::new()
-        .string("name", g.name())
-        .raw(
-            "input_names",
-            &array(g.input_names().iter().map(|n| format!("\"{}\"", crate::json::escape(n)))),
-        )
-        .raw("nodes", &nodes)
-        .raw("outputs", &outputs)
-        .finish()
+/// How a stage artifact is stored in a checkpoint. Every artifact type
+/// a stage produces implements it for that stage's input `In`, so
+/// [`FlowContext::run`] can save and restore any stage.
+pub trait Codec<In>: Sized {
+    /// Serializes the artifact (every `f64` as its bit pattern).
+    fn encode(&self, lib: &Library) -> String;
+
+    /// Rebuilds the artifact from its stored form. Pure functions of
+    /// the stage input or the library are recomputed from `input` and
+    /// `lib` rather than stored.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first malformed field; the stage then
+    /// recomputes.
+    fn decode(v: &Json, input: &In, lib: &Library) -> Result<Self, String>;
 }
 
-/// Rebuilds a subject graph by *replaying* its construction: every
-/// node is re-created through the canonical `add_input`/`nand2`/`inv`
-/// builders and must land on its stored index. Structural hashing and
-/// double-inverter cancellation make those builders non-injective, so
-/// an index mismatch means the stored node list was never produced by
-/// them — i.e. the file is corrupt — and the decode fails.
-fn decode_subject(v: &Json) -> Result<Arc<SubjectGraph>, String> {
-    let name = str_field(v, "name")?;
-    let input_names: Vec<&str> = array_field(v, "input_names")?
-        .iter()
-        .map(|n| n.as_str().ok_or_else(|| "bad input name".to_string()))
-        .collect::<Result<_, _>>()?;
-    let nodes = array_field(v, "nodes")?;
-    let mut g = SubjectGraph::new(name);
-    let mut inputs_seen = 0usize;
-    for (i, node) in nodes.iter().enumerate() {
-        let spec = node.as_str().ok_or_else(|| format!("bad node {i}"))?;
-        let id = if spec == "i" {
-            let name = input_names
-                .get(inputs_seen)
-                .ok_or_else(|| format!("input {inputs_seen} unnamed"))?;
-            inputs_seen += 1;
-            g.add_input(*name)
-        } else if let Some(rest) = spec.strip_prefix("n:") {
-            let (a, b) = rest.split_once(':').ok_or_else(|| format!("bad nand node {i}"))?;
-            let a: usize = a.parse().map_err(|_| format!("bad nand fanin at node {i}"))?;
-            let b: usize = b.parse().map_err(|_| format!("bad nand fanin at node {i}"))?;
-            if a >= i || b >= i {
-                return Err(format!("forward fanin at node {i}"));
+impl<'a> Codec<&'a Network> for Arc<SubjectGraph> {
+    fn encode(&self, _lib: &Library) -> String {
+        let nodes = array(self.kinds().iter().map(|k| {
+            let body = match k {
+                SubjectKind::Input(_) => "i".to_string(),
+                SubjectKind::Nand2(a, b) => format!("n:{}:{}", a.index(), b.index()),
+                SubjectKind::Inv(a) => format!("v:{}", a.index()),
+            };
+            format!("\"{body}\"")
+        }));
+        let outputs = array(self.outputs().iter().map(|o| {
+            JsonObject::new()
+                .string("name", &o.name)
+                .uint("driver", o.driver.index() as u64)
+                .finish()
+        }));
+        JsonObject::new()
+            .string("name", self.name())
+            .raw(
+                "input_names",
+                &array(
+                    self.input_names().iter().map(|n| format!("\"{}\"", crate::json::escape(n))),
+                ),
+            )
+            .raw("nodes", &nodes)
+            .raw("outputs", &outputs)
+            .finish()
+    }
+
+    /// Rebuilds a subject graph by *replaying* its construction: every
+    /// node is re-created through the canonical `add_input`/`nand2`/`inv`
+    /// builders and must land on its stored index. Structural hashing and
+    /// double-inverter cancellation make those builders non-injective, so
+    /// an index mismatch means the stored node list was never produced by
+    /// them — i.e. the file is corrupt — and the decode fails.
+    fn decode(v: &Json, _net: &&'a Network, _lib: &Library) -> Result<Self, String> {
+        let name = str_field(v, "name")?;
+        let input_names: Vec<&str> = array_field(v, "input_names")?
+            .iter()
+            .map(|n| n.as_str().ok_or_else(|| "bad input name".to_string()))
+            .collect::<Result<_, _>>()?;
+        let nodes = array_field(v, "nodes")?;
+        let mut g = SubjectGraph::new(name);
+        let mut inputs_seen = 0usize;
+        for (i, node) in nodes.iter().enumerate() {
+            let spec = node.as_str().ok_or_else(|| format!("bad node {i}"))?;
+            let id = if spec == "i" {
+                let name = input_names
+                    .get(inputs_seen)
+                    .ok_or_else(|| format!("input {inputs_seen} unnamed"))?;
+                inputs_seen += 1;
+                g.add_input(*name)
+            } else if let Some(rest) = spec.strip_prefix("n:") {
+                let (a, b) = rest.split_once(':').ok_or_else(|| format!("bad nand node {i}"))?;
+                let a: usize = a.parse().map_err(|_| format!("bad nand fanin at node {i}"))?;
+                let b: usize = b.parse().map_err(|_| format!("bad nand fanin at node {i}"))?;
+                if a >= i || b >= i {
+                    return Err(format!("forward fanin at node {i}"));
+                }
+                g.nand2(SubjectNodeId::from_index(a), SubjectNodeId::from_index(b))
+            } else if let Some(rest) = spec.strip_prefix("v:") {
+                let a: usize = rest.parse().map_err(|_| format!("bad inv fanin at node {i}"))?;
+                if a >= i {
+                    return Err(format!("forward fanin at node {i}"));
+                }
+                g.inv(SubjectNodeId::from_index(a))
+            } else {
+                return Err(format!("unknown node spec `{spec}`"));
+            };
+            if id.index() != i {
+                return Err(format!("node {i} replayed to index {}", id.index()));
             }
-            g.nand2(SubjectNodeId::from_index(a), SubjectNodeId::from_index(b))
-        } else if let Some(rest) = spec.strip_prefix("v:") {
-            let a: usize = rest.parse().map_err(|_| format!("bad inv fanin at node {i}"))?;
-            if a >= i {
-                return Err(format!("forward fanin at node {i}"));
+        }
+        if inputs_seen != input_names.len() {
+            return Err("input name count mismatch".to_string());
+        }
+        for o in array_field(v, "outputs")? {
+            let name = str_field(o, "name")?;
+            let driver = usize_field(o, "driver")?;
+            if driver >= nodes.len() {
+                return Err(format!("output `{name}` drives missing node {driver}"));
             }
-            g.inv(SubjectNodeId::from_index(a))
-        } else {
-            return Err(format!("unknown node spec `{spec}`"));
+            g.set_output(name, SubjectNodeId::from_index(driver));
+        }
+        Ok(Arc::new(g))
+    }
+}
+
+impl<'a> Codec<&'a SubjectGraph> for PadPlan {
+    fn encode(&self, _lib: &Library) -> String {
+        JsonObject::new()
+            .string("est_area", &hex_f64(self.est_area))
+            .raw("core", &encode_rect(self.core))
+            .raw("pads", &encode_points(&self.pads))
+            .finish()
+    }
+
+    /// The stored pad plan carries the measured fields; the placement
+    /// problem is a pure deterministic function of the subject graph and is
+    /// recomputed rather than stored.
+    fn decode(v: &Json, g: &&'a SubjectGraph, _lib: &Library) -> Result<Self, String> {
+        let est_area = hex_field(v, "est_area")?;
+        let core = decode_rect(v, "core")?;
+        let pads = decode_points(v, "pads")?;
+        let placement = SubjectPlacement::new(g);
+        if pads.len() != g.inputs().len() + g.outputs().len() {
+            return Err("pad count does not match the subject graph".to_string());
+        }
+        Ok(PadPlan { est_area, core, placement, pads })
+    }
+}
+
+impl<'a> Codec<(&'a SubjectGraph, &'a PadPlan)> for SubjectImage {
+    fn encode(&self, _lib: &Library) -> String {
+        let mut o = JsonObject::new();
+        o = match &self.positions {
+            Some(points) => o.raw("positions", &encode_points(points)),
+            None => o.raw("positions", "null"),
         };
-        if id.index() != i {
-            return Err(format!("node {i} replayed to index {}", id.index()));
+        match &self.failure {
+            Some(f) => o.string("failure", f),
+            None => o.raw("failure", "null"),
         }
-    }
-    if inputs_seen != input_names.len() {
-        return Err("input name count mismatch".to_string());
-    }
-    for o in array_field(v, "outputs")? {
-        let name = str_field(o, "name")?;
-        let driver = usize_field(o, "driver")?;
-        if driver >= nodes.len() {
-            return Err(format!("output `{name}` drives missing node {driver}"));
-        }
-        g.set_output(name, SubjectNodeId::from_index(driver));
-    }
-    Ok(Arc::new(g))
-}
-
-fn encode_pad_plan(plan: &PadPlan) -> String {
-    JsonObject::new()
-        .string("est_area", &hex_f64(plan.est_area))
-        .raw("core", &encode_rect(plan.core))
-        .raw("pads", &encode_points(&plan.pads))
         .finish()
-}
-
-/// The stored pad plan carries the measured fields; the placement
-/// problem is a pure deterministic function of the subject graph and is
-/// recomputed rather than stored.
-fn decode_pad_plan(v: &Json, g: &SubjectGraph) -> Result<Arc<PadPlan>, String> {
-    let est_area = hex_field(v, "est_area")?;
-    let core = decode_rect(v, "core")?;
-    let pads = decode_points(v, "pads")?;
-    let placement = SubjectPlacement::new(g);
-    if pads.len() != g.inputs().len() + g.outputs().len() {
-        return Err("pad count does not match the subject graph".to_string());
     }
-    Ok(Arc::new(PadPlan { est_area, core, placement, pads }))
-}
 
-fn encode_image(image: &SubjectImage) -> String {
-    let mut o = JsonObject::new();
-    o = match &image.positions {
-        Some(points) => o.raw("positions", &encode_points(points)),
-        None => o.raw("positions", "null"),
-    };
-    match &image.failure {
-        Some(f) => o.string("failure", f),
-        None => o.raw("failure", "null"),
+    fn decode(
+        v: &Json,
+        _input: &(&'a SubjectGraph, &'a PadPlan),
+        _lib: &Library,
+    ) -> Result<Self, String> {
+        let positions = match v.get("positions") {
+            Some(Json::Null) => None,
+            Some(_) => Some(decode_points(v, "positions")?),
+            None => return Err("missing positions".to_string()),
+        };
+        let failure = match v.get("failure") {
+            Some(Json::Null) => None,
+            Some(f) => Some(f.as_str().ok_or_else(|| "bad failure field".to_string())?.to_string()),
+            None => return Err("missing failure".to_string()),
+        };
+        Ok(SubjectImage { positions, failure })
     }
-    .finish()
-}
-
-fn decode_image(v: &Json) -> Result<Arc<SubjectImage>, String> {
-    let positions = match v.get("positions") {
-        Some(Json::Null) => None,
-        Some(_) => Some(decode_points(v, "positions")?),
-        None => return Err("missing positions".to_string()),
-    };
-    let failure = match v.get("failure") {
-        Some(Json::Null) => None,
-        Some(f) => Some(f.as_str().ok_or_else(|| "bad failure field".to_string())?.to_string()),
-        None => return Err("missing failure".to_string()),
-    };
-    Ok(Arc::new(SubjectImage { positions, failure }))
 }
 
 fn encode_source(s: &SignalSource) -> String {
@@ -382,14 +401,6 @@ fn encode_mapped(mapped: &MappedNetwork, lib: &Library) -> String {
         .finish()
 }
 
-fn decode_pairs(v: &Json, key: &str, expected: usize) -> Result<Vec<(f64, f64)>, String> {
-    let flat = decode_hex_array(v, key)?;
-    if flat.len() != expected * 2 {
-        return Err(format!("`{key}` has {} values, expected {}", flat.len(), expected * 2));
-    }
-    Ok(flat.chunks_exact(2).map(|c| (c[0], c[1])).collect())
-}
-
 /// Gates are stored by *name* and re-resolved against the live library,
 /// so a checkpoint written against a different library is rejected
 /// instead of silently mapping onto the wrong cells.
@@ -428,38 +439,14 @@ fn decode_mapped(v: &Json, lib: &Library) -> Result<MappedNetwork, String> {
         let source = decode_source(str_field(o, "source")?, n_inputs, n_cells)?;
         mapped.add_output(name, source);
     }
-    mapped.input_positions = decode_pairs(v, "input_positions", n_inputs)?;
-    mapped.output_positions = decode_pairs(v, "output_positions", mapped.outputs.len())?;
+    mapped.input_positions = decode_pairs(v, "input_positions", |x, y| (x, y))?;
+    mapped.output_positions = decode_pairs(v, "output_positions", |x, y| (x, y))?;
+    if mapped.input_positions.len() != n_inputs
+        || mapped.output_positions.len() != mapped.outputs.len()
+    {
+        return Err("pad position count mismatch".to_string());
+    }
     Ok(mapped)
-}
-
-fn encode_stats(stats: &MapStats) -> String {
-    let mut o = JsonObject::new()
-        .uint("hatched", stats.lifecycle.hatched as u64)
-        .uint("doves", stats.lifecycle.doves as u64)
-        .uint("hawks", stats.lifecycle.hawks as u64)
-        .uint("reincarnations", stats.lifecycle.reincarnations as u64)
-        .uint("matches_enumerated", stats.matches_enumerated as u64)
-        .uint("scopes", stats.scopes as u64);
-    o = match stats.ordering_cost {
-        Some(c) => o.uint("ordering_cost", c as u64),
-        None => o.raw("ordering_cost", "null"),
-    };
-    o = match stats.cuts {
-        Some(c) => o.raw(
-            "cuts",
-            &JsonObject::new()
-                .uint("nodes", c.nodes as u64)
-                .uint("kept", c.kept as u64)
-                .uint("pruned_width", c.pruned_width as u64)
-                .uint("pruned_dominated", c.pruned_dominated as u64)
-                .uint("pruned_overflow", c.pruned_overflow as u64)
-                .uint("max_per_node", c.max_per_node as u64)
-                .finish(),
-        ),
-        None => o.raw("cuts", "null"),
-    };
-    o.finish()
 }
 
 fn decode_stats(v: &Json) -> Result<MapStats, String> {
@@ -472,13 +459,12 @@ fn decode_stats(v: &Json) -> Result<MapStats, String> {
         },
         matches_enumerated: usize_field(v, "matches_enumerated")?,
         scopes: usize_field(v, "scopes")?,
+        // Optional fields are absent (or `null` in older checkpoints)
+        // when unset.
         ordering_cost: match v.get("ordering_cost") {
-            Some(Json::Null) => None,
+            Some(Json::Null) | None => None,
             Some(c) => Some(c.as_usize().ok_or_else(|| "bad ordering_cost".to_string())?),
-            None => return Err("missing ordering_cost".to_string()),
         },
-        // Absent in pre-cut checkpoints: decode as "the cut mapper did
-        // not run" rather than rejecting the whole checkpoint.
         cuts: match v.get("cuts") {
             Some(Json::Null) | None => None,
             Some(c) => Some(lily_netlist::CutStats {
@@ -493,169 +479,180 @@ fn decode_stats(v: &Json) -> Result<MapStats, String> {
     })
 }
 
-fn encode_mapping(m: &Mapping, lib: &Library) -> String {
-    JsonObject::new()
-        .raw("mapped", &encode_mapped(&m.mapped, lib))
-        .raw("stats", &encode_stats(&m.stats))
-        .raw("constructive", if m.constructive { "true" } else { "false" })
-        .finish()
-}
-
-fn decode_mapping(v: &Json, lib: &Library) -> Result<Mapping, String> {
-    let mapped = decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
-    let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
-    let constructive = v
-        .get("constructive")
-        .and_then(Json::as_bool)
-        .ok_or_else(|| "missing constructive".to_string())?;
-    Ok(Mapping { mapped, stats, constructive })
-}
-
-fn encode_legal(l: &LegalPlacement, lib: &Library) -> String {
-    let mut o = JsonObject::new()
-        .raw("mapped", &encode_mapped(&l.mapped, lib))
-        .raw("core", &encode_rect(l.core))
-        .raw("stats", &encode_stats(&l.stats));
-    o = match &l.legal {
-        Some(legal) => o.raw(
-            "legal",
-            &JsonObject::new()
-                .raw("positions", &encode_points(&legal.positions))
-                .raw(
-                    "rows",
-                    &array(legal.rows.iter().map(|row| array(row.iter().map(|c| c.to_string())))),
-                )
-                .raw("row_y", &hex_array(legal.row_y.iter().copied()))
-                .finish(),
-        ),
-        None => o.raw("legal", "null"),
-    };
-    o.finish()
-}
-
-/// Widths, the placement problem, and the fixed pad list are all pure
-/// functions of the restored netlist and library; only the measured
-/// pieces (netlist, core, stats, legalized rows) are stored.
-fn decode_legal(v: &Json, lib: &Library) -> Result<LegalPlacement, String> {
-    let mapped = decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
-    let core = decode_rect(v, "core")?;
-    let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
-    let legal = match v.get("legal") {
-        Some(Json::Null) => None,
-        Some(l) => {
-            let positions = decode_points(l, "positions")?;
-            let rows = array_field(l, "rows")?
-                .iter()
-                .map(|row| {
-                    row.as_array()
-                        .ok_or_else(|| "bad row".to_string())?
-                        .iter()
-                        .map(|c| c.as_usize().ok_or_else(|| "bad row cell".to_string()))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let row_y = decode_hex_array(l, "row_y")?;
-            if positions.len() != mapped.cell_count() {
-                return Err("legalized position count mismatch".to_string());
-            }
-            if rows.iter().flatten().any(|&c| c >= mapped.cell_count()) {
-                return Err("legalized row references missing cell".to_string());
-            }
-            Some(Legalized { positions, rows, row_y })
-        }
-        None => return Err("missing legal".to_string()),
-    };
-    let tech = lib.technology();
-    let widths: Vec<f64> =
-        mapped.cells().iter().map(|c| lib.gate(c.gate).grids() as f64 * tech.grid_width).collect();
-    let (problem, _) = mapped_problem(&mapped);
-    let fixed: Vec<Point> = mapped
-        .input_positions
-        .iter()
-        .chain(mapped.output_positions.iter())
-        .map(|&(x, y)| Point::new(x, y))
-        .collect();
-    Ok(LegalPlacement { mapped, core, stats, widths, problem, fixed, legal })
-}
-
-fn encode_placed(p: &PlacedDesign, lib: &Library) -> String {
-    JsonObject::new()
-        .raw("mapped", &encode_mapped(&p.mapped, lib))
-        .raw("core", &encode_rect(p.core))
-        .raw("stats", &encode_stats(&p.stats))
-        .finish()
-}
-
-fn decode_placed(v: &Json, lib: &Library) -> Result<PlacedDesign, String> {
-    let mapped = decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
-    let core = decode_rect(v, "core")?;
-    let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
-    Ok(PlacedDesign { mapped, core, stats })
-}
-
-fn encode_route(r: &RouteFigures) -> String {
-    JsonObject::new()
-        .string("wire_length", &hex_f64(r.wire_length))
-        .string("instance_area", &hex_f64(r.instance_area))
-        .string("chip_area", &hex_f64(r.chip_area))
-        .string("chip_area_channeled", &hex_f64(r.chip_area_channeled))
-        .string("peak_congestion", &hex_f64(r.peak_congestion))
-        .uint("nets", r.nets as u64)
-        .finish()
-}
-
-fn decode_route(v: &Json) -> Result<RouteFigures, String> {
-    Ok(RouteFigures {
-        wire_length: hex_field(v, "wire_length")?,
-        instance_area: hex_field(v, "instance_area")?,
-        chip_area: hex_field(v, "chip_area")?,
-        chip_area_channeled: hex_field(v, "chip_area_channeled")?,
-        peak_congestion: hex_field(v, "peak_congestion")?,
-        nets: usize_field(v, "nets")?,
-    })
-}
-
-fn encode_timing(t: &TimingArtifact) -> String {
-    JsonObject::new()
-        .raw("cell_arrival", &hex_array(t.sta.cell_arrival.iter().flat_map(|a| [a.rise, a.fall])))
-        .raw(
-            "output_arrival",
-            &hex_array(t.sta.output_arrival.iter().flat_map(|a| [a.rise, a.fall])),
-        )
-        .string("critical_delay", &hex_f64(t.sta.critical_delay))
-        .uint("critical_output", t.sta.critical_output as u64)
-        .raw("critical_path", &array(t.sta.critical_path.iter().map(|c| c.index().to_string())))
-        .raw("cell_slack", &hex_array(t.sta.cell_slack.iter().copied()))
-        .uint("cells", t.cells as u64)
-        .finish()
-}
-
-fn decode_arrivals(v: &Json, key: &str) -> Result<Vec<Arrival>, String> {
-    let flat = decode_hex_array(v, key)?;
-    if flat.len() % 2 != 0 {
-        return Err(format!("odd arrival array `{key}`"));
+impl<'a> Codec<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Mapping {
+    fn encode(&self, lib: &Library) -> String {
+        JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("stats", &stats_json(&self.stats))
+            .raw("constructive", if self.constructive { "true" } else { "false" })
+            .finish()
     }
-    Ok(flat.chunks_exact(2).map(|c| Arrival { rise: c[0], fall: c[1] }).collect())
+
+    fn decode(
+        v: &Json,
+        _input: &(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>),
+        lib: &Library,
+    ) -> Result<Self, String> {
+        let mapped =
+            decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
+        let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
+        let constructive = v
+            .get("constructive")
+            .and_then(Json::as_bool)
+            .ok_or_else(|| "missing constructive".to_string())?;
+        Ok(Mapping { mapped, stats, constructive })
+    }
 }
 
-fn decode_timing(v: &Json) -> Result<TimingArtifact, String> {
-    let critical_path = array_field(v, "critical_path")?
-        .iter()
-        .map(|c| {
-            c.as_usize().map(CellId::from_index).ok_or_else(|| "bad critical path".to_string())
+impl<'a> Codec<(&'a PadPlan, Mapping)> for LegalPlacement {
+    fn encode(&self, lib: &Library) -> String {
+        let mut o = JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("core", &encode_rect(self.core))
+            .raw("stats", &stats_json(&self.stats));
+        o = match &self.legal {
+            Some(legal) => o.raw(
+                "legal",
+                &JsonObject::new()
+                    .raw("positions", &encode_points(&legal.positions))
+                    .raw(
+                        "rows",
+                        &array(
+                            legal.rows.iter().map(|row| array(row.iter().map(|c| c.to_string()))),
+                        ),
+                    )
+                    .raw("row_y", &hex_array(legal.row_y.iter().copied()))
+                    .finish(),
+            ),
+            None => o.raw("legal", "null"),
+        };
+        o.finish()
+    }
+
+    /// Widths, the placement problem, and the fixed pad list are all pure
+    /// functions of the restored netlist and library; only the measured
+    /// pieces (netlist, core, stats, legalized rows) are stored.
+    fn decode(v: &Json, _input: &(&'a PadPlan, Mapping), lib: &Library) -> Result<Self, String> {
+        let mapped =
+            decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
+        let core = decode_rect(v, "core")?;
+        let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
+        let legal = match v.get("legal") {
+            Some(Json::Null) => None,
+            Some(l) => {
+                let positions = decode_points(l, "positions")?;
+                let rows = array_field(l, "rows")?
+                    .iter()
+                    .map(|row| {
+                        row.as_array()
+                            .ok_or_else(|| "bad row".to_string())?
+                            .iter()
+                            .map(|c| c.as_usize().ok_or_else(|| "bad row cell".to_string()))
+                            .collect::<Result<Vec<_>, _>>()
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                let row_y = decode_hex_array(l, "row_y")?;
+                if positions.len() != mapped.cell_count() {
+                    return Err("legalized position count mismatch".to_string());
+                }
+                if rows.iter().flatten().any(|&c| c >= mapped.cell_count()) {
+                    return Err("legalized row references missing cell".to_string());
+                }
+                Some(Legalized { positions, rows, row_y })
+            }
+            None => return Err("missing legal".to_string()),
+        };
+        let (widths, problem, fixed) = placement_setup(&mapped, lib);
+        Ok(LegalPlacement { mapped, core, stats, widths, problem, fixed, legal })
+    }
+}
+
+impl Codec<LegalPlacement> for PlacedDesign {
+    fn encode(&self, lib: &Library) -> String {
+        JsonObject::new()
+            .raw("mapped", &encode_mapped(&self.mapped, lib))
+            .raw("core", &encode_rect(self.core))
+            .raw("stats", &stats_json(&self.stats))
+            .finish()
+    }
+
+    fn decode(v: &Json, _input: &LegalPlacement, lib: &Library) -> Result<Self, String> {
+        let mapped =
+            decode_mapped(v.get("mapped").ok_or_else(|| "missing mapped".to_string())?, lib)?;
+        let core = decode_rect(v, "core")?;
+        let stats = decode_stats(v.get("stats").ok_or_else(|| "missing stats".to_string())?)?;
+        Ok(PlacedDesign { mapped, core, stats })
+    }
+}
+
+impl<'a> Codec<&'a PlacedDesign> for RouteFigures {
+    fn encode(&self, _lib: &Library) -> String {
+        JsonObject::new()
+            .string("wire_length", &hex_f64(self.wire_length))
+            .string("instance_area", &hex_f64(self.instance_area))
+            .string("chip_area", &hex_f64(self.chip_area))
+            .string("chip_area_channeled", &hex_f64(self.chip_area_channeled))
+            .string("peak_congestion", &hex_f64(self.peak_congestion))
+            .uint("nets", self.nets as u64)
+            .finish()
+    }
+
+    fn decode(v: &Json, _placed: &&'a PlacedDesign, _lib: &Library) -> Result<Self, String> {
+        Ok(RouteFigures {
+            wire_length: hex_field(v, "wire_length")?,
+            instance_area: hex_field(v, "instance_area")?,
+            chip_area: hex_field(v, "chip_area")?,
+            chip_area_channeled: hex_field(v, "chip_area_channeled")?,
+            peak_congestion: hex_field(v, "peak_congestion")?,
+            nets: usize_field(v, "nets")?,
         })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(TimingArtifact {
-        sta: StaResult {
-            cell_arrival: decode_arrivals(v, "cell_arrival")?,
-            output_arrival: decode_arrivals(v, "output_arrival")?,
-            critical_delay: hex_field(v, "critical_delay")?,
-            critical_output: usize_field(v, "critical_output")?,
-            critical_path,
-            cell_slack: decode_hex_array(v, "cell_slack")?,
-        },
-        cells: usize_field(v, "cells")?,
-    })
+    }
+}
+
+impl<'a> Codec<&'a PlacedDesign> for TimingArtifact {
+    fn encode(&self, _lib: &Library) -> String {
+        JsonObject::new()
+            .raw(
+                "cell_arrival",
+                &hex_array(self.sta.cell_arrival.iter().flat_map(|a| [a.rise, a.fall])),
+            )
+            .raw(
+                "output_arrival",
+                &hex_array(self.sta.output_arrival.iter().flat_map(|a| [a.rise, a.fall])),
+            )
+            .string("critical_delay", &hex_f64(self.sta.critical_delay))
+            .uint("critical_output", self.sta.critical_output as u64)
+            .raw(
+                "critical_path",
+                &array(self.sta.critical_path.iter().map(|c| c.index().to_string())),
+            )
+            .raw("cell_slack", &hex_array(self.sta.cell_slack.iter().copied()))
+            .uint("cells", self.cells as u64)
+            .finish()
+    }
+
+    fn decode(v: &Json, _placed: &&'a PlacedDesign, _lib: &Library) -> Result<Self, String> {
+        let critical_path = array_field(v, "critical_path")?
+            .iter()
+            .map(|c| {
+                c.as_usize().map(CellId::from_index).ok_or_else(|| "bad critical path".to_string())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(TimingArtifact {
+            sta: StaResult {
+                cell_arrival: decode_pairs(v, "cell_arrival", |rise, fall| Arrival { rise, fall })?,
+                output_arrival: decode_pairs(v, "output_arrival", |rise, fall| Arrival {
+                    rise,
+                    fall,
+                })?,
+                critical_delay: hex_field(v, "critical_delay")?,
+                critical_output: usize_field(v, "critical_output")?,
+                critical_path,
+                cell_slack: decode_hex_array(v, "cell_slack")?,
+            },
+            cells: usize_field(v, "cells")?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -663,83 +660,76 @@ fn decode_timing(v: &Json) -> Result<TimingArtifact, String> {
 // ---------------------------------------------------------------------
 
 /// One completed stage in the manifest: where its artifact lives plus
-/// the observable history the stage produced (metrics record and the
+/// the observable history the stage produced (wall time and the
 /// degradation/retry deltas), so restoring the stage replays exactly
-/// what running it recorded.
+/// what running it recorded. The record's size and unit come from the
+/// restored artifact itself.
 #[derive(Debug, Clone)]
 struct ManifestEntry {
     stage: String,
     file: String,
     wall_ns: u64,
-    size: usize,
-    unit: String,
     retries: u32,
     deadline_hits: u32,
-    degradations: Vec<(String, String, String, String)>,
+    degradations: Vec<Degradation>,
 }
 
 impl ManifestEntry {
     fn to_json(&self) -> String {
-        let degradations =
-            array(self.degradations.iter().map(|(flow, stage, fallback, detail)| {
-                JsonObject::new()
-                    .string("flow", flow)
-                    .string("stage", stage)
-                    .string("fallback", fallback)
-                    .string("detail", detail)
-                    .finish()
-            }));
         JsonObject::new()
             .string("stage", &self.stage)
             .string("file", &self.file)
             .uint("wall_ns", self.wall_ns)
-            .uint("size", self.size as u64)
-            .string("unit", &self.unit)
             .uint("retries", u64::from(self.retries))
             .uint("deadline_hits", u64::from(self.deadline_hits))
-            .raw("degradations", &degradations)
+            .raw("degradations", &array(self.degradations.iter().map(Degradation::to_json)))
             .finish()
     }
 
+    /// An entry naming a degradation this code cannot record is as
+    /// undecodable as a torn one.
     fn from_json(v: &Json) -> Result<Self, String> {
+        let count = |key: &str| {
+            v.get(key)
+                .and_then(Json::as_u64)
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| format!("missing count `{key}`"))
+        };
         let degradations = array_field(v, "degradations")?
             .iter()
             .map(|d| {
-                Ok((
-                    str_field(d, "flow")?.to_string(),
-                    str_field(d, "stage")?.to_string(),
-                    str_field(d, "fallback")?.to_string(),
-                    str_field(d, "detail")?.to_string(),
-                ))
+                intern_degradation(
+                    str_field(d, "flow")?,
+                    str_field(d, "stage")?,
+                    str_field(d, "fallback")?,
+                    str_field(d, "detail")?,
+                )
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok(Self {
             stage: str_field(v, "stage")?.to_string(),
             file: str_field(v, "file")?.to_string(),
             wall_ns: v.get("wall_ns").and_then(Json::as_u64).ok_or("missing wall_ns")?,
-            size: usize_field(v, "size")?,
-            unit: str_field(v, "unit")?.to_string(),
-            retries: v
-                .get("retries")
-                .and_then(Json::as_u64)
-                .and_then(|r| u32::try_from(r).ok())
-                .ok_or("missing retries")?,
-            deadline_hits: v
-                .get("deadline_hits")
-                .and_then(Json::as_u64)
-                .and_then(|r| u32::try_from(r).ok())
-                .ok_or("missing deadline_hits")?,
+            retries: count("retries")?,
+            deadline_hits: count("deadline_hits")?,
             degradations,
         })
     }
 }
 
-/// A checkpoint directory: the manifest of completed stages plus a
-/// cursor tracking how far the current run has aligned with it.
+/// The checkpoint policy of a flow: a directory holding the manifest of
+/// completed stages, a cursor tracking how far the current run has
+/// aligned with it, and an optional stage to stop after. Install it with
+/// [`FlowContext::with_checkpoints`]; the flow driver opens it against
+/// the network before the first stage runs.
 #[derive(Debug)]
-pub struct CheckpointDir {
+pub struct CheckpointStore {
     dir: PathBuf,
-    fingerprint: u64,
+    /// The stage after which the flow stops with
+    /// [`MapError::Interrupted`].
+    pub(crate) interrupt_after: Option<String>,
+    /// The run's fingerprint, once opened.
+    fingerprint: Option<u64>,
     entries: Vec<ManifestEntry>,
     /// How many stages of the current run have been matched (restored
     /// or re-saved) against `entries`.
@@ -748,82 +738,75 @@ pub struct CheckpointDir {
     /// stage-name mismatch permanently drops to live recomputation (and
     /// truncates the stale suffix at the next save).
     live: bool,
-    /// Whether the manifest existed but was torn — unparsable JSON or
-    /// undecodable entries, the signature of a write cut short by a
-    /// crash. A fresh start either way, but a torn manifest deserves an
-    /// audit entry where a missing or foreign one does not.
-    torn: bool,
 }
 
-impl CheckpointDir {
-    /// Opens (creating if needed) a checkpoint directory for a run with
-    /// the given fingerprint. A manifest from a different fingerprint —
-    /// or no manifest at all, or an unparsable one — starts fresh.
+impl CheckpointStore {
+    /// A store over `dir` (created when the flow opens it). With
+    /// `interrupt_after`, the flow stops with [`MapError::Interrupted`]
+    /// right after that stage is safely on disk (restored or saved) — a
+    /// deliberate kill for resume drills.
+    pub fn new(dir: impl Into<PathBuf>, interrupt_after: Option<&str>) -> Self {
+        Self {
+            dir: dir.into(),
+            interrupt_after: interrupt_after.map(str::to_string),
+            fingerprint: None,
+            entries: Vec::new(),
+            cursor: 0,
+            live: false,
+        }
+    }
+
+    /// Opens (creating if needed) the directory for a run with the given
+    /// fingerprint. A manifest from a different fingerprint — or no
+    /// manifest at all — starts fresh silently. Returns whether the
+    /// manifest existed but was torn (unparsable JSON or undecodable
+    /// entries, the signature of a write cut short by a crash): a fresh
+    /// start too, but one the flow audits.
     ///
     /// # Errors
     ///
     /// [`MapError::Checkpoint`] when the directory cannot be created.
-    pub fn open(dir: &Path, fingerprint: u64) -> Result<Self, MapError> {
+    pub(crate) fn open(&mut self, fingerprint: u64) -> Result<bool, MapError> {
+        let dir = &self.dir;
         fs::create_dir_all(dir).map_err(|e| MapError::Checkpoint {
             context: "open",
             message: format!("cannot create `{}`: {e}", dir.display()),
         })?;
-        let mut torn = false;
-        let entries = match fs::read_to_string(dir.join("manifest.json")).ok() {
+        let stored = fs::read_to_string(dir.join("manifest.json")).ok().map(|text| {
+            let m = Json::parse(&text).ok()?;
+            // A manifest always carries a fingerprint; a parsable
+            // object without one is torn too.
+            let fp = m
+                .get("fingerprint")
+                .and_then(Json::as_str)
+                .and_then(|s| u64::from_str_radix(s, 16).ok())?;
+            if fp != fingerprint {
+                // A different run's manifest: silent fresh start.
+                return Some(Vec::new());
+            }
+            m.get("entries")?.as_array()?.iter().map(|e| ManifestEntry::from_json(e).ok()).collect()
+        });
+        let (entries, torn) = match stored {
             // No manifest: a genuinely fresh directory.
-            None => Vec::new(),
-            Some(text) => match Json::parse(&text) {
-                // Present but unparsable: a torn write — detected and
-                // skipped (audited by the caller), never a startup
-                // failure.
-                Err(_) => {
-                    torn = true;
-                    Vec::new()
-                }
-                Ok(m) => {
-                    let stored = m
-                        .get("fingerprint")
-                        .and_then(Json::as_str)
-                        .and_then(|s| u64::from_str_radix(s, 16).ok());
-                    match stored {
-                        // A manifest always carries a fingerprint; a
-                        // parsable object without one is torn too.
-                        None => {
-                            torn = true;
-                            Vec::new()
-                        }
-                        // A different run's manifest: silent fresh start.
-                        Some(fp) if fp != fingerprint => Vec::new(),
-                        Some(_) => {
-                            let decoded =
-                                m.get("entries").and_then(Json::as_array).and_then(|entries| {
-                                    entries
-                                        .iter()
-                                        .map(ManifestEntry::from_json)
-                                        .collect::<Result<Vec<_>, _>>()
-                                        .ok()
-                                });
-                            match decoded {
-                                Some(entries) => entries,
-                                None => {
-                                    torn = true;
-                                    Vec::new()
-                                }
-                            }
-                        }
-                    }
-                }
-            },
+            None => (Vec::new(), false),
+            Some(Some(entries)) => (entries, false),
+            Some(None) => (Vec::new(), true),
         };
-        let live = !entries.is_empty();
-        Ok(Self { dir: dir.to_path_buf(), fingerprint, entries, cursor: 0, live, torn })
+        self.fingerprint = Some(fingerprint);
+        self.live = !entries.is_empty();
+        self.entries = entries;
+        self.cursor = 0;
+        Ok(torn)
     }
 
-    /// Whether the manifest on disk was torn (see the field docs); the
-    /// flow audits this as a `"checkpoint"` → `"recomputed"` entry.
-    #[must_use]
-    pub fn manifest_torn(&self) -> bool {
-        self.torn
+    fn opened(&self) -> Result<u64, MapError> {
+        self.fingerprint.ok_or_else(|| MapError::Checkpoint {
+            context: "open",
+            message: format!(
+                "checkpoint store `{}` was never opened (run the flow through `run_flow_with`)",
+                self.dir.display()
+            ),
+        })
     }
 
     /// Tries to restore the next stage from the stored prefix. On a hit
@@ -832,105 +815,85 @@ impl CheckpointDir {
     /// artifact returned. On a miss — cursor past the prefix, stage
     /// mismatch, unreadable or corrupt artifact — the checkpoint goes
     /// dead, a corrupt artifact is audited as `"checkpoint"` →
-    /// `"recomputed"`, and `None` asks the caller to recompute.
-    fn try_load<T>(
+    /// `"recomputed"`, and `None` asks the caller to run the stage.
+    ///
+    /// # Errors
+    ///
+    /// [`MapError::Checkpoint`] when the store was never opened.
+    pub(crate) fn restore<In, T: Codec<In> + StageArtifact>(
         &mut self,
         ctx: &mut FlowContext<'_>,
         name: &'static str,
-        decode: impl FnOnce(&Json) -> Result<T, String>,
-    ) -> Option<T> {
+        input: &In,
+    ) -> Result<Option<T>, MapError> {
+        self.opened()?;
         if !self.live {
-            return None;
+            return Ok(None);
         }
         let entry = match self.entries.get(self.cursor) {
             Some(e) if e.stage == name => e.clone(),
             _ => {
                 self.live = false;
-                return None;
+                return Ok(None);
             }
         };
         let restored = fs::read_to_string(self.dir.join(&entry.file))
             .map_err(|e| e.to_string())
             .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()))
-            .and_then(|v| decode(&v))
-            .and_then(|artifact| {
-                let unit = intern(&UNITS, &entry.unit)?;
-                let degradations = entry
-                    .degradations
-                    .iter()
-                    .map(|(flow, stage, fallback, detail)| {
-                        Ok(Degradation {
-                            flow: intern(&FLOWS, flow)?,
-                            stage: intern(&DEGRADE_STAGES, stage)?,
-                            fallback: intern(&FALLBACKS, fallback)?,
-                            detail: detail.clone(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok((artifact, unit, degradations))
-            });
+            .and_then(|v| T::decode(&v, input, ctx.lib));
         match restored {
-            Ok((artifact, unit, degradations)) => {
-                ctx.stages.record(name, entry.wall_ns.max(1), entry.size, unit);
-                ctx.degradations.extend(degradations);
+            Ok(artifact) => {
+                ctx.stages.record(name, entry.wall_ns, artifact.size(), artifact.unit());
+                ctx.degradations.extend(entry.degradations);
                 ctx.retries += entry.retries;
                 ctx.deadline_hits += entry.deadline_hits;
                 self.cursor += 1;
-                Some(artifact)
+                Ok(Some(artifact))
             }
             Err(why) => {
                 self.live = false;
                 ctx.degrade(
-                    "checkpoint",
-                    "recomputed",
+                    Rung::Recomputed,
                     format!("stage `{name}` checkpoint unusable ({why})"),
                 );
-                None
+                Ok(None)
             }
         }
     }
 
     /// Persists a freshly computed stage: artifact file first, then the
     /// manifest, both atomically (write-to-temp + rename), truncating
-    /// any stale suffix left from a dead prefix.
+    /// any stale suffix left from a dead prefix. `mark` is the context's
+    /// `(degradations, retries, deadline_hits)` before the stage ran, so
+    /// the entry stores exactly the history the stage added.
     ///
     /// # Errors
     ///
-    /// [`MapError::Checkpoint`] on I/O failure.
-    fn save(
+    /// [`MapError::Checkpoint`] on I/O failure or an unopened store.
+    pub(crate) fn save<In, T: Codec<In>>(
         &mut self,
-        name: &'static str,
-        entry_body: &str,
         ctx: &FlowContext<'_>,
-        marks: &StageMarks,
+        name: &'static str,
+        artifact: &T,
+        mark: (usize, u32, u32),
     ) -> Result<(), MapError> {
+        let fingerprint = self.opened()?;
         self.entries.truncate(self.cursor);
         let file = format!("{:02}-{name}.json", self.cursor);
-        self.write_atomic(&file, entry_body)?;
-        let record = ctx.stages.get(name);
-        let degradations = ctx
-            .degradations
-            .get(marks.degradations..)
-            .unwrap_or_default()
-            .iter()
-            .map(|d| {
-                (d.flow.to_string(), d.stage.to_string(), d.fallback.to_string(), d.detail.clone())
-            })
-            .collect();
+        self.write_atomic(&file, &artifact.encode(ctx.lib))?;
+        let (degradations, retries, deadline_hits) = mark;
         self.entries.push(ManifestEntry {
             stage: name.to_string(),
             file,
-            wall_ns: record.map_or(1, |r| r.wall_ns),
-            size: record.map_or(0, |r| r.size),
-            unit: record.map_or("nodes", |r| r.unit).to_string(),
-            retries: ctx.retries - marks.retries,
-            deadline_hits: ctx.deadline_hits - marks.deadline_hits,
-            degradations,
+            wall_ns: ctx.stages.get(name).map_or(1, |r| r.wall_ns),
+            degradations: ctx.degradations.get(degradations..).unwrap_or_default().to_vec(),
+            retries: ctx.retries - retries,
+            deadline_hits: ctx.deadline_hits - deadline_hits,
         });
         self.cursor += 1;
         self.live = true;
         let manifest = JsonObject::new()
-            .string("fingerprint", &format!("{:016x}", self.fingerprint))
+            .string("fingerprint", &format!("{fingerprint:016x}"))
             .raw("entries", &array(self.entries.iter().map(ManifestEntry::to_json)))
             .finish();
         self.write_atomic("manifest.json", &manifest)
@@ -948,209 +911,51 @@ impl CheckpointDir {
     }
 }
 
-/// The observable-history counters captured before a stage runs, so
-/// [`CheckpointDir::save`] can store exactly the deltas the stage
-/// produced.
-struct StageMarks {
-    degradations: usize,
-    retries: u32,
-    deadline_hits: u32,
-}
-
-impl StageMarks {
-    fn of(ctx: &FlowContext<'_>) -> Self {
-        Self {
-            degradations: ctx.degradations.len(),
-            retries: ctx.retries,
-            deadline_hits: ctx.deadline_hits,
-        }
-    }
-}
-
-/// Runs one checkpointed stage: restore it from the directory when the
-/// stored prefix still matches, otherwise run it live and persist the
-/// result. With `interrupt_after == Some(name)` the flow stops right
-/// after this stage is safely on disk, returning
-/// [`MapError::Interrupted`].
-fn step<T>(
-    ckpt: &mut CheckpointDir,
-    ctx: &mut FlowContext<'_>,
-    name: &'static str,
-    interrupt_after: Option<&str>,
-    decode: impl FnOnce(&Json) -> Result<T, String>,
-    encode: impl FnOnce(&T) -> String,
-    run: impl FnOnce(&mut FlowContext<'_>) -> Result<T, MapError>,
-) -> Result<T, MapError> {
-    let marks = StageMarks::of(ctx);
-    let out = match ckpt.try_load(ctx, name, decode) {
-        Some(out) => out,
-        None => {
-            let out = run(ctx)?;
-            ckpt.save(name, &encode(&out), ctx, &marks)?;
-            out
-        }
-    };
-    if interrupt_after == Some(name) {
-        return Err(MapError::Interrupted { stage: name });
-    }
-    Ok(out)
-}
-
-/// Runs one full pipeline with per-stage checkpointing into `dir` (see
-/// the module docs). Resuming against a directory holding a completed
-/// or partial run of the same `(net, options)` pair restores every
-/// stored stage bit-exactly and computes only the remainder.
-/// `interrupt_after` names a stage to deliberately stop after
-/// (`lily-check --kill-after`); the trivial zero-gate flow ignores it
-/// (there is nothing downstream to resume).
-///
-/// # Errors
-///
-/// See [`FlowOptions::run`](crate::flow::FlowOptions::run), plus
-/// [`MapError::Checkpoint`] for unusable directories and
-/// [`MapError::Interrupted`] for deliberate interrupts.
-pub fn run_flow_checkpointed(
-    net: &Network,
-    lib: &Library,
-    options: &FlowOptions,
-    dir: &Path,
-    interrupt_after: Option<&str>,
-) -> Result<FlowResult, MapError> {
-    let mut ckpt = CheckpointDir::open(dir, fingerprint(net, options))?;
-    let mut ctx = FlowContext::new(lib, *options);
-    if ckpt.manifest_torn() {
-        ctx.degrade(
-            "checkpoint",
-            "recomputed",
-            "manifest torn (crash mid-write); prefix discarded, recomputing from scratch"
-                .to_string(),
-        );
-    }
-    let ia = interrupt_after;
-
-    let g: Arc<SubjectGraph> = step(
-        &mut ckpt,
-        &mut ctx,
-        "decompose",
-        ia,
-        decode_subject,
-        |g| encode_subject(g),
-        |ctx| ctx.run(&Decompose, net),
-    )?;
-    degenerate_guard(&g)?;
-    if g.base_gate_count() == 0 {
-        return Ok(trivial_result(g, ctx));
-    }
-
-    let plan: Arc<PadPlan> = step(
-        &mut ckpt,
-        &mut ctx,
-        "assign-pads",
-        ia,
-        |v| decode_pad_plan(v, &g),
-        |p| encode_pad_plan(p),
-        |ctx| ctx.run(&AssignPads, &*g).map(Arc::new),
-    )?;
-
-    let image: Option<Arc<SubjectImage>> = if Map::wants_image(lib, options) {
-        Some(step(
-            &mut ckpt,
-            &mut ctx,
-            "subject-place",
-            ia,
-            decode_image,
-            |i| encode_image(i),
-            |ctx| ctx.run(&SubjectPlace, (&*g, &*plan)).map(Arc::new),
-        )?)
-    } else {
-        None
-    };
-
-    let mapping: Mapping = step(
-        &mut ckpt,
-        &mut ctx,
-        "map",
-        ia,
-        |v| decode_mapping(v, lib),
-        |m| encode_mapping(m, lib),
-        |ctx| ctx.run(&Map, (&*g, &*plan, image.as_deref())),
-    )?;
-
-    let legal: LegalPlacement = step(
-        &mut ckpt,
-        &mut ctx,
-        "legalize",
-        ia,
-        |v| decode_legal(v, lib),
-        |l| encode_legal(l, lib),
-        |ctx| ctx.run(&Legalize, (&*plan, mapping)),
-    )?;
-
-    let placed: PlacedDesign = step(
-        &mut ckpt,
-        &mut ctx,
-        "detailed-place",
-        ia,
-        |v| decode_placed(v, lib),
-        |p| encode_placed(p, lib),
-        |ctx| ctx.run(&DetailedPlace, legal),
-    )?;
-
-    let route: RouteFigures =
-        step(&mut ckpt, &mut ctx, "route-estimate", ia, decode_route, encode_route, |ctx| {
-            ctx.run(&RouteEstimate, &placed)
-        })?;
-
-    let timing: TimingArtifact =
-        step(&mut ckpt, &mut ctx, "sta", ia, decode_timing, encode_timing, |ctx| {
-            ctx.run(&Sta, &placed)
-        })?;
-
-    let metrics = FlowMetrics {
-        cells: placed.mapped.cell_count(),
-        instance_area: route.instance_area,
-        chip_area: route.chip_area,
-        wire_length: route.wire_length,
-        chip_area_channeled: route.chip_area_channeled,
-        critical_delay: timing.sta.critical_delay,
-        peak_congestion: route.peak_congestion,
-        stats: placed.stats,
-        degradations: ctx.degradations,
-        stages: ctx.stages,
-        retries: ctx.retries,
-        deadline_hits: ctx.deadline_hits,
-    };
-    Ok(FlowResult {
-        metrics,
-        mapped: placed.mapped,
-        artifacts: FlowArtifacts { subject: g, pads: Some(plan), image },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{run_flow_with, FlowMetrics, FlowResult};
+    use lily_fault::{FaultKind, FaultReport};
     use lily_workloads::structured::flow_fixture;
+    use std::path::Path;
+
+    /// One flow run under a fault plan with checkpoints in `dir`.
+    fn faulted(
+        net: &Network,
+        lib: &Library,
+        options: &FlowOptions,
+        plan: &FaultPlan,
+        dir: &Path,
+        interrupt_after: Option<&str>,
+    ) -> (Result<FlowResult, MapError>, FaultReport) {
+        let ctx = FlowContext::new(lib, *options)
+            .with_faults(plan.clone())
+            .with_checkpoints(CheckpointStore::new(dir, interrupt_after));
+        let log = ctx.fault_log();
+        (run_flow_with(ctx, net), log.report())
+    }
+
+    fn checkpointed(
+        net: &Network,
+        lib: &Library,
+        options: &FlowOptions,
+        dir: &Path,
+        interrupt_after: Option<&str>,
+    ) -> Result<FlowResult, MapError> {
+        faulted(net, lib, options, &FaultPlan::new(), dir, interrupt_after).0
+    }
+
+    /// Everything a metrics record says except wall times: the stage
+    /// table's names and sizes, and the JSON of all other fields.
+    fn shape(m: &FlowMetrics) -> (Vec<(&'static str, usize)>, String) {
+        let stages = m.stages.records().iter().map(|r| (r.stage, r.size)).collect();
+        (stages, FlowMetrics { stages: Default::default(), ..m.clone() }.to_json())
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lily-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn checkpointed_flow_matches_plain_flow() {
-        let lib = Library::big();
-        let net = flow_fixture();
-        let options = FlowOptions::lily_area();
-        let dir = temp_dir("plain");
-        let plain = options.run_detailed(&net, &lib).unwrap();
-        let ck = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
-        assert_eq!(plain.metrics.cells, ck.metrics.cells);
-        assert_eq!(plain.metrics.wire_length.to_bits(), ck.metrics.wire_length.to_bits());
-        assert_eq!(plain.metrics.critical_delay.to_bits(), ck.metrics.critical_delay.to_bits());
-        assert_eq!(plain.metrics.chip_area.to_bits(), ck.metrics.chip_area.to_bits());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1163,12 +968,11 @@ mod tests {
         let full_cuts = full.metrics.stats.cuts.expect("cut flow records cut stats");
         // Kill after the mapper so the resumed run decodes the map
         // artifact — including the nested cut-stats object — from disk.
-        let killed = run_flow_checkpointed(&net, &lib, &options, &dir, Some("map"));
+        let killed = checkpointed(&net, &lib, &options, &dir, Some("map"));
         assert!(matches!(killed, Err(MapError::Interrupted { stage: "map" })));
-        let resumed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        let resumed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
         assert_eq!(resumed.metrics.stats.cuts, Some(full_cuts));
-        assert_eq!(full.metrics.cells, resumed.metrics.cells);
-        assert_eq!(full.metrics.wire_length.to_bits(), resumed.metrics.wire_length.to_bits());
+        assert_eq!(shape(&full.metrics), shape(&resumed.metrics));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1178,31 +982,15 @@ mod tests {
         let net = flow_fixture();
         let options = FlowOptions::lily_area();
         let dir = temp_dir("resume");
-        let full_dir = temp_dir("full");
-        let full = run_flow_checkpointed(&net, &lib, &options, &full_dir, None).unwrap();
-        let _ = fs::remove_dir_all(&full_dir);
+        let full = options.run_detailed(&net, &lib).unwrap();
         // Kill after the mapper; four stages are on disk.
-        let killed = run_flow_checkpointed(&net, &lib, &options, &dir, Some("map"));
+        let killed = checkpointed(&net, &lib, &options, &dir, Some("map"));
         assert!(matches!(killed, Err(MapError::Interrupted { stage: "map" })));
         // Resume: the first four stages restore, the rest compute.
-        let resumed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
-        assert!(resumed.metrics.degradations.iter().all(|d| d.stage != "checkpoint"));
-        assert_eq!(full.metrics.cells, resumed.metrics.cells);
-        assert_eq!(full.metrics.wire_length.to_bits(), resumed.metrics.wire_length.to_bits());
-        assert_eq!(full.metrics.critical_delay.to_bits(), resumed.metrics.critical_delay.to_bits());
-        assert_eq!(
-            full.metrics.chip_area_channeled.to_bits(),
-            resumed.metrics.chip_area_channeled.to_bits()
-        );
-        assert_eq!(full.metrics.retries, resumed.metrics.retries);
-        assert_eq!(full.metrics.degradations, resumed.metrics.degradations);
-        // The stage tables agree on everything but wall time.
-        let full_stages: Vec<_> =
-            full.metrics.stages.records().iter().map(|r| (r.stage, r.size, r.unit)).collect();
-        let resumed_stages: Vec<_> =
-            resumed.metrics.stages.records().iter().map(|r| (r.stage, r.size, r.unit)).collect();
-        assert_eq!(full_stages, resumed_stages);
-        // And the final netlists are byte-identical.
+        let resumed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        // Metrics agree on everything but wall time (no checkpoint
+        // audit either), and the final netlists are byte-identical.
+        assert_eq!(shape(&full.metrics), shape(&resumed.metrics));
         assert_eq!(encode_mapped(&full.mapped, &lib), encode_mapped(&resumed.mapped, &lib));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1213,13 +1001,13 @@ mod tests {
         let net = flow_fixture();
         let options = FlowOptions::lily_area();
         let dir = temp_dir("corrupt");
-        let killed = run_flow_checkpointed(&net, &lib, &options, &dir, Some("map"));
+        let killed = checkpointed(&net, &lib, &options, &dir, Some("map"));
         assert!(matches!(killed, Err(MapError::Interrupted { .. })));
         // Truncate the mapper artifact mid-file.
         let map_file = dir.join("03-map.json");
         let text = fs::read_to_string(&map_file).unwrap();
         fs::write(&map_file, &text[..text.len() / 2]).unwrap();
-        let resumed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        let resumed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
         let audited: Vec<_> = resumed
             .metrics
             .degradations
@@ -1239,7 +1027,7 @@ mod tests {
         let net = flow_fixture();
         let options = FlowOptions::lily_area();
         let dir = temp_dir("torn-manifest");
-        let killed = run_flow_checkpointed(&net, &lib, &options, &dir, Some("map"));
+        let killed = checkpointed(&net, &lib, &options, &dir, Some("map"));
         assert!(matches!(killed, Err(MapError::Interrupted { .. })));
         // Tear the manifest itself mid-file, as a crash inside a
         // non-atomic writer would: truncated JSON cannot parse.
@@ -1249,7 +1037,7 @@ mod tests {
         // The resume must not fail startup: it discards the prefix,
         // audits the torn manifest once, and recomputes to the same
         // answer as an uninterrupted run.
-        let resumed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        let resumed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
         let audited: Vec<_> = resumed
             .metrics
             .degradations
@@ -1262,7 +1050,7 @@ mod tests {
         assert_eq!(plain.metrics.wire_length.to_bits(), resumed.metrics.wire_length.to_bits());
         // A second resume runs against the healed (re-written) manifest
         // with no audit entry at all.
-        let healed = run_flow_checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        let healed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
         assert!(healed.metrics.degradations.iter().all(|d| d.stage != "checkpoint"));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1272,11 +1060,10 @@ mod tests {
         let lib = Library::big();
         let net = flow_fixture();
         let dir = temp_dir("fingerprint");
-        let killed =
-            run_flow_checkpointed(&net, &lib, &FlowOptions::lily_area(), &dir, Some("map"));
+        let killed = checkpointed(&net, &lib, &FlowOptions::lily_area(), &dir, Some("map"));
         assert!(matches!(killed, Err(MapError::Interrupted { .. })));
         // A different configuration must not adopt the stored prefix.
-        let mis = run_flow_checkpointed(&net, &lib, &FlowOptions::mis_area(), &dir, None).unwrap();
+        let mis = checkpointed(&net, &lib, &FlowOptions::mis_area(), &dir, None).unwrap();
         assert!(mis.metrics.degradations.iter().all(|d| d.stage != "checkpoint"));
         let plain = FlowOptions::mis_area().run_detailed(&net, &lib).unwrap();
         assert_eq!(plain.metrics.wire_length.to_bits(), mis.metrics.wire_length.to_bits());
@@ -1284,17 +1071,73 @@ mod tests {
     }
 
     #[test]
-    fn subject_codec_replays_exactly() {
+    fn map_degradation_survives_resume() {
+        // The tree-partition rung is recorded inside `map`; a resume
+        // after `legalize` must restore it from the manifest rather than
+        // reject the map checkpoint as corrupt and recompute it.
+        let lib = Library::big();
         let net = flow_fixture();
-        let g = lily_netlist::decompose::decompose(
-            &net,
-            lily_netlist::decompose::DecomposeOrder::Balanced,
-        )
-        .unwrap();
-        let encoded = encode_subject(&g);
-        let decoded = decode_subject(&Json::parse(&encoded).unwrap()).unwrap();
+        let mut options = FlowOptions::cut_area();
+        options.physical.cone_partition_max_nodes = 1;
+        let dir = temp_dir("map-rung");
+        let full = options.run_detailed(&net, &lib).unwrap();
+        assert!(full.metrics.degradations.iter().any(|d| d.fallback == "tree-partition"));
+        let killed = checkpointed(&net, &lib, &options, &dir, Some("legalize"));
+        assert!(matches!(killed, Err(MapError::Interrupted { stage: "legalize" })));
+        let resumed = checkpointed(&net, &lib, &options, &dir, None).unwrap();
+        assert_eq!(full.metrics.degradations, resumed.metrics.degradations);
+        assert_eq!(shape(&full.metrics), shape(&resumed.metrics));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn faulted_flow_resumes_under_its_plan() {
+        let lib = Library::big();
+        let net = flow_fixture();
+        let options = FlowOptions::lily_area();
+        // A retried fault inside the restored prefix and a degrading one
+        // after the kill point.
+        let mut plan = FaultPlan::new();
+        plan.push("map", 0, FaultKind::StageError);
+        plan.push("legalize", 0, FaultKind::NanPoison);
+        let (full, _) = faulted(&net, &lib, &options, &plan, &temp_dir("f-full"), None);
+        let full = full.unwrap();
+        assert!(full.metrics.retries >= 1);
+        assert!(full.metrics.degradations.iter().any(|d| d.fallback == "core-center-seed"));
+        let dir = temp_dir("f-resume");
+        let (killed, _) = faulted(&net, &lib, &options, &plan, &dir, Some("map"));
+        assert!(matches!(killed, Err(MapError::Interrupted { stage: "map" })));
+        let (resumed, report) = faulted(&net, &lib, &options, &plan, &dir, None);
+        // Restored stages arm nothing: only the legalize fault fires.
+        assert_eq!(report.fired.len(), 1, "{report:?}");
+        assert_eq!(shape(&full.metrics), shape(&resumed.unwrap().metrics));
+        // A different plan is a different run: nothing is reused, so a
+        // fault aimed at the first stage fires.
+        let mut other = FaultPlan::new();
+        other.push("decompose", 0, FaultKind::StageError);
+        let (fresh, report) = faulted(&net, &lib, &options, &other, &dir, None);
+        assert_eq!(report.error_class(), 1, "{report:?}");
+        assert!(fresh.unwrap().metrics.degradations.iter().all(|d| d.stage != "checkpoint"));
+        for tag in ["f-full", "f-resume"] {
+            let _ = fs::remove_dir_all(temp_dir(tag));
+        }
+    }
+
+    #[test]
+    fn subject_codec_replays_exactly() {
+        let (lib, net) = (Library::big(), flow_fixture());
+        let g = Arc::new(
+            lily_netlist::decompose::decompose(
+                &net,
+                lily_netlist::decompose::DecomposeOrder::Balanced,
+            )
+            .unwrap(),
+        );
+        let encoded = g.encode(&lib);
+        let decoded = Arc::<SubjectGraph>::decode(&Json::parse(&encoded).unwrap(), &&net, &lib);
+        let decoded = decoded.unwrap();
         assert_eq!(g.node_count(), decoded.node_count());
         assert_eq!(g.kinds(), decoded.kinds());
-        assert_eq!(encode_subject(&decoded), encoded);
+        assert_eq!(decoded.encode(&lib), encoded);
     }
 }

@@ -17,11 +17,13 @@
 //! difference under measurement is the mapper.
 //!
 //! The pipeline itself lives in [`crate::stage`] as eight typed stages;
-//! this module holds the options, the metrics, and the thin drivers
-//! that sequence the stages: [`run_flow`] for one pipeline and
-//! [`compare_flows`] for the paper's MIS-vs-Lily experiment, which
-//! shares the upstream artifacts (decomposition, pad assignment,
-//! subject placement image) between the two runs.
+//! this module holds the options, the metrics, and the one function
+//! that sequences the stages. Every entry point runs through it:
+//! [`run_flow`] for one pipeline and [`compare_flows`] for the paper's
+//! MIS-vs-Lily experiment, which runs the upstream prefix
+//! (decomposition, pad assignment, subject placement image) once and
+//! then two tails. The `_with` variants take a [`FlowContext`] carrying
+//! a fault plan or a checkpoint store.
 
 use std::sync::Arc;
 
@@ -34,7 +36,6 @@ use crate::stage::{
     StageMetrics, SubjectImage, SubjectPlace,
 };
 use lily_cells::{Library, MappedNetwork, SignalSource};
-use lily_fault::{FaultPlan, FaultReport};
 use lily_netlist::decompose::DecomposeOrder;
 use lily_netlist::subject::SubjectKind;
 use lily_netlist::{Network, SubjectGraph};
@@ -66,6 +67,18 @@ pub enum FlowMapper {
     /// through the library's NPN index, costed with Lily's placed
     /// dynamic program.
     Cut,
+}
+
+impl FlowMapper {
+    /// The pipeline tag stamped into degradation audits (see
+    /// [`Degradation::flow`]).
+    pub const fn tag(self) -> &'static str {
+        match self {
+            FlowMapper::Mis => "mis",
+            FlowMapper::Lily => "lily",
+            FlowMapper::Cut => "cut",
+        }
+    }
 }
 
 /// Physical-design knobs shared by both pipelines. These rarely change
@@ -258,9 +271,7 @@ impl FlowOptions {
     ///
     /// See [`FlowOptions::run`].
     pub fn run_detailed(&self, net: &Network, lib: &Library) -> Result<FlowResult, MapError> {
-        let mut ctx = FlowContext::new(lib, *self);
-        let g = ctx.run(&Decompose, net)?;
-        run_from_subject(ctx, g)
+        run_flow_with(FlowContext::new(lib, *self), net)
     }
 
     /// Runs the flow on an already-decomposed subject graph.
@@ -281,7 +292,8 @@ impl FlowOptions {
     /// model) does *not* error: the flow steps down a degradation ladder
     /// and records each step in [`FlowMetrics::degradations`].
     pub fn run_subject(&self, g: &SubjectGraph, lib: &Library) -> Result<FlowResult, MapError> {
-        run_from_subject(FlowContext::new(lib, *self), Arc::new(g.clone()))
+        let upstream = FlowArtifacts { subject: Arc::new(g.clone()), pads: None, image: None };
+        run_pipeline(FlowContext::new(lib, *self), Start::Upstream(upstream))
     }
 }
 
@@ -296,6 +308,21 @@ pub fn run_flow(
     options: &FlowOptions,
 ) -> Result<FlowResult, MapError> {
     options.run_detailed(net, lib)
+}
+
+/// [`run_flow`] under the policies installed on `ctx`: a fault plan
+/// ([`FlowContext::with_faults`]) and a checkpoint store
+/// ([`FlowContext::with_checkpoints`]) apply to every stage. Take
+/// [`FlowContext::fault_log`] before the call to see which faults
+/// fired.
+///
+/// # Errors
+///
+/// See [`FlowOptions::run`], plus [`MapError::Checkpoint`] for an
+/// unusable checkpoint directory and [`MapError::Interrupted`] when the
+/// store's interrupt stage is reached.
+pub fn run_flow_with(ctx: FlowContext<'_>, net: &Network) -> Result<FlowResult, MapError> {
+    run_pipeline(ctx, Start::Network(net))
 }
 
 /// Runs the paper's MIS-vs-Lily comparison on one network, *sharing*
@@ -325,71 +352,67 @@ pub fn compare_flows(
     lib: &Library,
     base: &FlowOptions,
 ) -> Result<FlowComparison, MapError> {
-    compare_flows_chaos(net, lib, base, &FaultPlan::new()).0
+    compare_flows_with(FlowContext::new(lib, *base), net)
 }
 
-/// [`compare_flows`] under a deterministic fault-injection plan: each
-/// of the three contexts (the shared upstream prefix and the two
-/// pipeline tails) arms its own copy of `plan`, so a fault aimed at a
-/// downstream stage fires in *both* tails. Returns the comparison
-/// result together with the merged fired-fault report (shared, then
-/// MIS, then Lily — a deterministic order at any thread count).
-pub fn compare_flows_chaos(
-    net: &Network,
-    lib: &Library,
-    base: &FlowOptions,
-    plan: &FaultPlan,
-) -> (Result<FlowComparison, MapError>, FaultReport) {
-    let mut shared_ctx = FlowContext::new(lib, FlowOptions { mapper: FlowMapper::Lily, ..*base })
-        .with_flow("shared")
-        .with_faults(plan.clone());
-    let mut mis_ctx = FlowContext::new(lib, FlowOptions { mapper: FlowMapper::Mis, ..*base })
-        .with_faults(plan.clone());
-    let mut lily_ctx = FlowContext::new(lib, FlowOptions { mapper: FlowMapper::Lily, ..*base })
-        .with_faults(plan.clone());
-    let logs = [shared_ctx.fault_log(), mis_ctx.fault_log(), lily_ctx.fault_log()];
-    let result = (|| {
-        let g = shared_ctx.run(&Decompose, net)?;
-        degenerate_guard(&g)?;
-        if g.base_gate_count() == 0 {
-            mis_ctx.adopt(&shared_ctx);
-            lily_ctx.adopt(&shared_ctx);
-            let mis = trivial_result(g.clone(), mis_ctx);
-            let lily = trivial_result(g, lily_ctx);
-            let degradations = merge_audits(&mis.metrics.degradations, &lily.metrics.degradations);
-            return Ok(FlowComparison { mis, lily, degradations });
-        }
-        let plan_art = Arc::new(shared_ctx.run(&AssignPads, &*g)?);
-        let image = Arc::new(shared_ctx.run(&SubjectPlace, (&*g, &*plan_art))?);
-        mis_ctx.adopt(&shared_ctx);
-        lily_ctx.adopt(&shared_ctx);
-        let (g_mis, plan_mis, image_mis) = (g.clone(), plan_art.clone(), image.clone());
-        // `join` may run a tail on a pool thread whose thread-local
-        // ambient token is fresh; re-install the caller's token in both
-        // closures so an outer cancellation scope (a serving deadline, a
-        // disconnect) reaches both pipeline tails wherever they run.
-        let (ambient_mis, ambient_lily) =
-            (lily_fault::ambient_token(), lily_fault::ambient_token());
-        let (mis, lily) = lily_par::join(
-            &lily_par::ParOptions::current(),
-            move || {
-                let _scope = lily_fault::set_ambient(ambient_mis);
-                finish_stages(mis_ctx, g_mis, plan_mis, Some(image_mis))
-            },
-            move || {
-                let _scope = lily_fault::set_ambient(ambient_lily);
-                finish_stages(lily_ctx, g, plan_art, Some(image))
-            },
-        );
-        let (mis, lily) = (mis?, lily?);
-        let degradations = merge_audits(&mis.metrics.degradations, &lily.metrics.degradations);
-        Ok(FlowComparison { mis, lily, degradations })
-    })();
-    let mut fired = Vec::new();
-    for log in &logs {
-        fired.extend(log.report().fired);
+/// [`compare_flows`] under the policies installed on `ctx`. A fault
+/// plan is armed separately in the shared prefix and in each pipeline
+/// tail, so a fault aimed at a downstream stage fires in *both* tails;
+/// the tails' fired faults are appended to `ctx`'s log after the
+/// prefix's, MIS before Lily — a deterministic order at any thread
+/// count.
+///
+/// # Errors
+///
+/// See [`compare_flows`]. A checkpoint store is refused with
+/// [`MapError::Checkpoint`]: checkpoints cover one pipeline, and a
+/// comparison runs two.
+pub fn compare_flows_with(ctx: FlowContext<'_>, net: &Network) -> Result<FlowComparison, MapError> {
+    if ctx.checkpoints.is_some() {
+        return Err(MapError::Checkpoint {
+            context: "compare",
+            message: "checkpoints cover one pipeline; a comparison runs two".to_string(),
+        });
     }
-    (result, FaultReport { fired })
+    let base = ctx.options;
+    let log = ctx.fault_log();
+    let mut shared = ctx.with_flow("shared");
+    shared.options.mapper = FlowMapper::Lily;
+    let (mis, lily) = match sequence(shared, Start::Network(net), true)? {
+        // Nothing downstream of the prefix: both sides are the same
+        // empty netlist with the shared history.
+        Reached::Done(trivial) => ((*trivial).clone(), *trivial),
+        Reached::Fork(shared, upstream) => {
+            let mis_ctx = shared.fork(FlowOptions { mapper: FlowMapper::Mis, ..base });
+            let lily_ctx = shared.fork(FlowOptions { mapper: FlowMapper::Lily, ..base });
+            let logs = [mis_ctx.fault_log(), lily_ctx.fault_log()];
+            let mis_upstream = upstream.clone();
+            // `join` may run a tail on a pool thread whose thread-local
+            // ambient token is fresh; re-install the caller's token in
+            // both closures so an outer cancellation scope (a serving
+            // deadline, a disconnect) reaches both pipeline tails
+            // wherever they run.
+            let (ambient_mis, ambient_lily) =
+                (lily_fault::ambient_token(), lily_fault::ambient_token());
+            let (mis, lily) = lily_par::join(
+                &lily_par::ParOptions::current(),
+                move || {
+                    let _scope = lily_fault::set_ambient(ambient_mis);
+                    run_pipeline(mis_ctx, Start::Upstream(mis_upstream))
+                },
+                move || {
+                    let _scope = lily_fault::set_ambient(ambient_lily);
+                    run_pipeline(lily_ctx, Start::Upstream(upstream))
+                },
+            );
+            for tail_log in &logs {
+                log.absorb(tail_log);
+            }
+            (mis?, lily?)
+        }
+    };
+    let degradations = merge_audits(&mis.metrics.degradations, &lily.metrics.degradations);
+    Ok(FlowComparison { mis, lily, degradations })
 }
 
 /// Merges the two pipelines' audit trails into one deterministic
@@ -409,26 +432,7 @@ fn merge_audits(mis: &[Degradation], lily: &[Degradation]) -> Vec<Degradation> {
     merged
 }
 
-/// Runs one full pipeline under a deterministic fault-injection plan,
-/// returning the flow's result together with the report of faults that
-/// actually fired. The same `(plan, options, net)` triple replays
-/// bit-exactly at any thread count.
-pub fn run_flow_chaos(
-    net: &Network,
-    lib: &Library,
-    options: &FlowOptions,
-    plan: &FaultPlan,
-) -> (Result<FlowResult, MapError>, FaultReport) {
-    let mut ctx = FlowContext::new(lib, *options).with_faults(plan.clone());
-    let log = ctx.fault_log();
-    let result = (|| {
-        let g = ctx.run(&Decompose, net)?;
-        run_from_subject(ctx, g)
-    })();
-    (result, log.report())
-}
-
-pub(crate) fn degenerate_guard(g: &SubjectGraph) -> Result<(), MapError> {
+fn degenerate_guard(g: &SubjectGraph) -> Result<(), MapError> {
     if g.outputs().is_empty() {
         return Err(MapError::DegenerateInput {
             stage: "flow",
@@ -438,38 +442,72 @@ pub(crate) fn degenerate_guard(g: &SubjectGraph) -> Result<(), MapError> {
     Ok(())
 }
 
-/// Sequences the post-decomposition stages of one pipeline.
-fn run_from_subject(
-    mut ctx: FlowContext<'_>,
-    g: Arc<SubjectGraph>,
-) -> Result<FlowResult, MapError> {
+/// Where a pipeline starts: the optimized network, or upstream
+/// artifacts already produced (by a shared prefix, or a caller that
+/// decomposed the network itself).
+enum Start<'n> {
+    Network(&'n Network),
+    Upstream(FlowArtifacts),
+}
+
+/// How far [`sequence`] got.
+enum Reached<'l> {
+    /// Stopped at the fork after the upstream prefix, handing back the
+    /// context and the artifacts the pipeline tails share.
+    Fork(Box<FlowContext<'l>>, FlowArtifacts),
+    /// Ran to the end.
+    Done(Box<FlowResult>),
+}
+
+/// Runs one pipeline to the end.
+fn run_pipeline(ctx: FlowContext<'_>, start: Start<'_>) -> Result<FlowResult, MapError> {
+    match sequence(ctx, start, false)? {
+        Reached::Done(result) => Ok(*result),
+        // Only a forking call stops early; carrying on from the fork is
+        // the same pipeline.
+        Reached::Fork(ctx, upstream) => run_pipeline(*ctx, Start::Upstream(upstream)),
+    }
+}
+
+/// The stage sequence — the one place the eight stages are ordered.
+/// Runs every stage whose artifact `start` does not already hold; with
+/// `fork`, stops after the upstream prefix (decompose, assign-pads,
+/// subject-place) so [`compare_flows_with`] can run two tails from it.
+/// A subject graph with no base gates short-circuits to an empty
+/// netlist before any physical stage.
+fn sequence<'l>(
+    mut ctx: FlowContext<'l>,
+    start: Start<'_>,
+    fork: bool,
+) -> Result<Reached<'l>, MapError> {
+    let mut upstream = match start {
+        Start::Network(net) => {
+            ctx.open_checkpoints(net)?;
+            FlowArtifacts { subject: ctx.run(&Decompose, net)?, pads: None, image: None }
+        }
+        Start::Upstream(upstream) => upstream,
+    };
+    let g = Arc::clone(&upstream.subject);
     degenerate_guard(&g)?;
     if g.base_gate_count() == 0 {
         // Every output is driven directly by an input: nothing to map,
-        // place or route. Short-circuit with an empty netlist.
-        return Ok(trivial_result(g, ctx));
+        // place or route.
+        return Ok(Reached::Done(Box::new(trivial_result(g, ctx))));
     }
-    let plan = Arc::new(ctx.run(&AssignPads, &*g)?);
+    let plan = match &upstream.pads {
+        Some(plan) => Arc::clone(plan),
+        None => Arc::new(ctx.run(&AssignPads, &*g)?),
+    };
+    upstream.pads = Some(Arc::clone(&plan));
     // The subject placement only runs when the selected mapper consumes
     // the layout image; the MIS pipeline records seven stages.
-    let image = if Map::wants_image(ctx.lib, &ctx.options) {
-        Some(Arc::new(ctx.run(&SubjectPlace, (&*g, &*plan))?))
-    } else {
-        None
-    };
-    finish_stages(ctx, g, plan, image)
-}
-
-/// Sequences the downstream stages (Map through Sta) over shared
-/// upstream artifacts and assembles the result.
-fn finish_stages(
-    mut ctx: FlowContext<'_>,
-    g: Arc<SubjectGraph>,
-    plan: Arc<PadPlan>,
-    image: Option<Arc<SubjectImage>>,
-) -> Result<FlowResult, MapError> {
-    let mapping = ctx.run(&Map, (&*g, &*plan, image.as_deref()))?;
-    let stats = mapping.stats;
+    if upstream.image.is_none() && Map::wants_image(ctx.lib, &ctx.options) {
+        upstream.image = Some(Arc::new(ctx.run(&SubjectPlace, (&*g, &*plan))?));
+    }
+    if fork {
+        return Ok(Reached::Fork(Box::new(ctx), upstream));
+    }
+    let mapping = ctx.run(&Map, (&*g, &*plan, upstream.image.as_deref()))?;
     let legal = ctx.run(&Legalize, (&*plan, mapping))?;
     let placed = ctx.run(&DetailedPlace, legal)?;
     let route = ctx.run(&RouteEstimate, &placed)?;
@@ -482,17 +520,13 @@ fn finish_stages(
         chip_area_channeled: route.chip_area_channeled,
         critical_delay: timing.sta.critical_delay,
         peak_congestion: route.peak_congestion,
-        stats,
+        stats: placed.stats,
         degradations: ctx.degradations,
         stages: ctx.stages,
         retries: ctx.retries,
         deadline_hits: ctx.deadline_hits,
     };
-    Ok(FlowResult {
-        metrics,
-        mapped: placed.mapped,
-        artifacts: FlowArtifacts { subject: g, pads: Some(plan), image },
-    })
+    Ok(Reached::Done(Box::new(FlowResult { metrics, mapped: placed.mapped, artifacts: upstream })))
 }
 
 /// One recorded step down the graceful-degradation ladder: which stage
@@ -505,9 +539,7 @@ pub struct Degradation {
     /// time so concurrent pipeline tails can be merged into one
     /// deterministic audit regardless of thread count.
     pub flow: &'static str,
-    /// The stage that could not run as configured (`"lily-global-place"`,
-    /// `"mapped-global-place"`, `"map"`, `"detailed-placement"`,
-    /// `"detailed-place"`, `"anneal"`, or `"wire-load"`).
+    /// The stage that could not run as configured (see [`Rung::names`]).
     pub stage: &'static str,
     /// The fallback strategy the flow used instead.
     pub fallback: &'static str,
@@ -515,10 +547,103 @@ pub struct Degradation {
     pub detail: String,
 }
 
+impl Degradation {
+    /// The entry as a JSON object (metrics and checkpoint manifests).
+    pub(crate) fn to_json(&self) -> String {
+        JsonObject::new()
+            .string("flow", self.flow)
+            .string("stage", self.stage)
+            .string("fallback", self.fallback)
+            .string("detail", &self.detail)
+            .finish()
+    }
+}
+
+/// Mapper statistics as a JSON object; unset optional fields are
+/// omitted (metrics and checkpoint artifacts).
+pub(crate) fn stats_json(stats: &MapStats) -> String {
+    let mut o = JsonObject::new()
+        .uint("matches_enumerated", stats.matches_enumerated as u64)
+        .uint("scopes", stats.scopes as u64)
+        .uint("hatched", stats.lifecycle.hatched as u64)
+        .uint("doves", stats.lifecycle.doves as u64)
+        .uint("hawks", stats.lifecycle.hawks as u64)
+        .uint("reincarnations", stats.lifecycle.reincarnations as u64);
+    if let Some(cost) = stats.ordering_cost {
+        o = o.uint("ordering_cost", cost as u64);
+    }
+    if let Some(c) = stats.cuts {
+        o = o.raw(
+            "cuts",
+            &JsonObject::new()
+                .uint("nodes", c.nodes as u64)
+                .uint("kept", c.kept as u64)
+                .uint("pruned_width", c.pruned_width as u64)
+                .uint("pruned_dominated", c.pruned_dominated as u64)
+                .uint("pruned_overflow", c.pruned_overflow as u64)
+                .uint("max_per_node", c.max_per_node as u64)
+                .finish(),
+        );
+    }
+    o.finish()
+}
+
 impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "[{}] {} degraded to {}: {}", self.flow, self.stage, self.fallback, self.detail)
     }
+}
+
+/// Defines [`Rung`] from one list, so the enum, its names and
+/// [`Rung::ALL`] cannot disagree.
+macro_rules! rungs {
+    ($($(#[$doc:meta])* $rung:ident = ($stage:literal, $fallback:literal),)+) => {
+        /// Every step the degradation ladder can take, named by the
+        /// `(stage, fallback)` pair its audit entry carries.
+        /// [`FlowContext::degrade`] takes a rung, and the checkpoint
+        /// decoder resolves stored entries against [`Rung::ALL`], so a
+        /// new rung is restorable the moment it exists.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Rung {
+            $($(#[$doc])* $rung,)+
+        }
+
+        impl Rung {
+            /// Every rung, in declaration order.
+            pub const ALL: &'static [Rung] = &[$(Rung::$rung),+];
+
+            /// The stage that could not run as configured, and the
+            /// fallback strategy used instead.
+            pub const fn names(self) -> (&'static str, &'static str) {
+                match self {
+                    $(Rung::$rung => ($stage, $fallback),)+
+                }
+            }
+        }
+    };
+}
+
+rungs! {
+    /// The layout image is missing: map with the wire-blind MIS mapper.
+    MisMapper = ("lily-global-place", "mis-mapper"),
+    /// Global placement of the mapped netlist failed: legalize the
+    /// mapper's own positions.
+    MapperPositions = ("mapped-global-place", "mapper-positions"),
+    /// Non-finite cell positions: seed them at the core center.
+    CoreCenterSeed = ("detailed-placement", "core-center-seed"),
+    /// The annealer failed or ran out of moves: keep the greedy placer.
+    GreedyPlacer = ("anneal", "greedy"),
+    /// Placement-derived wire loads failed: use the per-fanout model.
+    PerFanoutLoad = ("wire-load", "per-fanout"),
+    /// The per-fanout model failed too: time without wire load.
+    NoWireLoad = ("wire-load", "no-wire-load"),
+    /// Detailed placement skipped: ship the legalized rows.
+    LegalizedOnly = ("detailed-place", "legalized-only"),
+    /// The subject graph exceeds the cone-partition ceiling: cover
+    /// maximal trees instead.
+    TreePartition = ("map", "tree-partition"),
+    /// A stored checkpoint was unusable: recompute the stage.
+    Recomputed = ("checkpoint", "recomputed"),
 }
 
 /// The [`FlowResult`] of a subject graph with no base gates: outputs are
@@ -541,24 +666,17 @@ pub(crate) fn trivial_result(g: Arc<SubjectGraph>, ctx: FlowContext<'_>) -> Flow
         mapped.add_output(o.name.clone(), SignalSource::Input(pi));
     }
     let metrics = FlowMetrics {
-        cells: 0,
-        instance_area: 0.0,
-        chip_area: 0.0,
-        wire_length: 0.0,
-        chip_area_channeled: 0.0,
-        critical_delay: 0.0,
-        peak_congestion: 0.0,
-        stats: MapStats::default(),
         degradations: ctx.degradations,
         stages: ctx.stages,
         retries: ctx.retries,
         deadline_hits: ctx.deadline_hits,
+        ..FlowMetrics::default()
     };
     FlowResult { metrics, mapped, artifacts: FlowArtifacts { subject: g, pads: None, image: None } }
 }
 
 /// The measured outcome of a flow — one table cell group of the paper.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlowMetrics {
     /// Mapped cell count.
     pub cells: usize,
@@ -636,37 +754,7 @@ impl FlowMetrics {
             }
             o.finish()
         }));
-        let degradations = array(self.degradations.iter().map(|d| {
-            JsonObject::new()
-                .string("flow", d.flow)
-                .string("stage", d.stage)
-                .string("fallback", d.fallback)
-                .string("detail", &d.detail)
-                .finish()
-        }));
-        let mut stats = JsonObject::new()
-            .uint("matches_enumerated", self.stats.matches_enumerated as u64)
-            .uint("scopes", self.stats.scopes as u64)
-            .uint("hatched", self.stats.lifecycle.hatched as u64)
-            .uint("doves", self.stats.lifecycle.doves as u64)
-            .uint("hawks", self.stats.lifecycle.hawks as u64)
-            .uint("reincarnations", self.stats.lifecycle.reincarnations as u64);
-        if let Some(cost) = self.stats.ordering_cost {
-            stats = stats.uint("ordering_cost", cost as u64);
-        }
-        if let Some(c) = self.stats.cuts {
-            stats = stats.raw(
-                "cuts",
-                &JsonObject::new()
-                    .uint("nodes", c.nodes as u64)
-                    .uint("kept", c.kept as u64)
-                    .uint("pruned_width", c.pruned_width as u64)
-                    .uint("pruned_dominated", c.pruned_dominated as u64)
-                    .uint("pruned_overflow", c.pruned_overflow as u64)
-                    .uint("max_per_node", c.max_per_node as u64)
-                    .finish(),
-            );
-        }
+        let degradations = array(self.degradations.iter().map(Degradation::to_json));
         JsonObject::new()
             .uint("cells", self.cells as u64)
             .uint("threads_used", self.stages.threads_used() as u64)
@@ -678,7 +766,7 @@ impl FlowMetrics {
             .float("chip_area_channeled_um2", self.chip_area_channeled)
             .float("critical_delay_ns", self.critical_delay)
             .float("peak_congestion", self.peak_congestion)
-            .raw("stats", &stats.finish())
+            .raw("stats", &stats_json(&self.stats))
             .raw("degradations", &degradations)
             .raw("stages", &stages)
             .finish()
@@ -771,14 +859,7 @@ mod tests {
             instance_area: 2.5e6,
             chip_area: 5.0e6,
             wire_length: 1234.0,
-            chip_area_channeled: 6.0e6,
-            critical_delay: 1.0,
-            peak_congestion: 0.5,
-            stats: MapStats::default(),
-            degradations: vec![],
-            stages: StageMetrics::default(),
-            retries: 0,
-            deadline_hits: 0,
+            ..FlowMetrics::default()
         };
         assert!((m.instance_area_mm2() - 2.5).abs() < 1e-12);
         assert!((m.chip_area_mm2() - 5.0).abs() < 1e-12);

@@ -2,16 +2,20 @@
 
 use std::time::{Duration, Instant};
 
+use crate::checkpoint::{fingerprint, CheckpointStore, Codec};
 use crate::error::MapError;
-use crate::flow::{Degradation, FlowOptions};
+use crate::flow::{Degradation, FlowOptions, Rung};
 use crate::stage::{Stage, StageArtifact, StageMetrics};
 use lily_cells::Library;
 use lily_fault::{ArmedFaults, CancelToken, FaultKind, FaultPlan, FiredLog, Injector};
+use lily_netlist::Network;
 
 /// Everything a stage needs besides its typed input artifact: the
 /// target library, the flow options, the graceful-degradation audit
-/// trail, the per-stage metrics sink, and the fault/cancellation state
-/// of the current stage attempt.
+/// trail, the per-stage metrics sink, the fault/cancellation state of
+/// the current stage attempt, and the flow's two optional policies — a
+/// fault plan ([`FlowContext::with_faults`]) and a checkpoint store
+/// ([`FlowContext::with_checkpoints`]).
 #[derive(Debug)]
 pub struct FlowContext<'l> {
     /// The target gate library.
@@ -39,6 +43,8 @@ pub struct FlowContext<'l> {
     /// How many stage attempts failed against the per-stage deadline.
     pub deadline_hits: u32,
     injector: Injector,
+    /// The checkpoint policy, when installed.
+    pub(crate) checkpoints: Option<CheckpointStore>,
 }
 
 impl<'l> FlowContext<'l> {
@@ -48,22 +54,18 @@ impl<'l> FlowContext<'l> {
     pub fn new(lib: &'l Library, options: FlowOptions) -> Self {
         let mut stages = StageMetrics::default();
         stages.set_threads_used(lily_par::effective_threads());
-        let flow = match options.mapper {
-            crate::flow::FlowMapper::Mis => "mis",
-            crate::flow::FlowMapper::Lily => "lily",
-            crate::flow::FlowMapper::Cut => "cut",
-        };
         Self {
             lib,
             options,
             degradations: Vec::new(),
             stages,
-            flow,
+            flow: options.mapper.tag(),
             cancel: CancelToken::never(),
             armed: ArmedFaults::idle(),
             retries: 0,
             deadline_hits: 0,
             injector: Injector::default(),
+            checkpoints: None,
         }
     }
 
@@ -86,6 +88,47 @@ impl<'l> FlowContext<'l> {
         self.injector.log()
     }
 
+    /// Installs a checkpoint store: every stage is restored from it when
+    /// its stored prefix still matches, and saved to it otherwise (see
+    /// [`crate::checkpoint`]). The flow driver opens the store against
+    /// its network; stage-by-stage callers use
+    /// [`FlowContext::open_checkpoints`].
+    pub fn with_checkpoints(mut self, store: CheckpointStore) -> Self {
+        self.checkpoints = Some(store);
+        self
+    }
+
+    /// Opens the installed checkpoint store (if any) for a run of this
+    /// context's options and fault plan on `net`. A torn manifest is
+    /// audited as a `"checkpoint"` → `"recomputed"` degradation.
+    ///
+    /// # Errors
+    ///
+    /// [`MapError::Checkpoint`] when the directory cannot be created.
+    pub fn open_checkpoints(&mut self, net: &Network) -> Result<(), MapError> {
+        let fingerprint = fingerprint(net, &self.options, self.injector.plan());
+        let Some(store) = &mut self.checkpoints else { return Ok(()) };
+        if store.open(fingerprint)? {
+            self.degrade(
+                Rung::Recomputed,
+                "manifest torn (crash mid-write); prefix discarded, recomputing from scratch"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
+    /// A context for a pipeline tail forked from this one: `options`
+    /// with this context's library, this context's history adopted, and
+    /// its fault plan armed afresh (own invocation counters, own fired
+    /// log). The checkpoint store is not inherited.
+    pub fn fork(&self, options: FlowOptions) -> FlowContext<'l> {
+        let mut tail =
+            FlowContext::new(self.lib, options).with_faults(self.injector.plan().clone());
+        tail.adopt(self);
+        tail
+    }
+
     /// Adopts another context's observable history — stage records,
     /// degradation audit, retry/deadline counters — used by
     /// [`compare_flows`](crate::flow::compare_flows) to hand the shared
@@ -97,11 +140,17 @@ impl<'l> FlowContext<'l> {
         self.deadline_hits += other.deadline_hits;
     }
 
-    /// Runs one stage with the retry/deadline/fault policy, times it,
-    /// records its artifact's size into the metrics table, and returns
-    /// the artifact.
+    /// Runs one stage under the context's policies, records its
+    /// artifact's size into the metrics table, and returns the artifact.
     ///
-    /// Each attempt gets a fresh cancellation token (carrying
+    /// With a checkpoint store, a stage whose stored prefix still
+    /// matches is restored — replaying its recorded history and arming
+    /// no faults — instead of run; a stage that runs is saved. When the
+    /// store's interrupt stage completes, the flow stops with
+    /// [`MapError::Interrupted`].
+    ///
+    /// A stage that runs is timed under the retry/deadline/fault
+    /// policy. Each attempt gets a fresh cancellation token (carrying
     /// [`FlowOptions::stage_deadline`] when configured) and freshly
     /// armed faults; a transient failure (cancellation, deadline,
     /// injected fault, solver divergence, budget exhaustion, non-finite
@@ -114,8 +163,45 @@ impl<'l> FlowContext<'l> {
     /// # Errors
     ///
     /// Propagates the stage's error (nothing is recorded for a failed
-    /// stage).
-    pub fn run<In: Clone, S: Stage<In>>(
+    /// stage), plus the checkpoint errors above.
+    pub fn run<In: Clone, S: Stage<In>>(&mut self, stage: &S, input: In) -> Result<S::Out, MapError>
+    where
+        S::Out: Codec<In>,
+    {
+        let name = stage.name();
+        let mark = (self.degradations.len(), self.retries, self.deadline_hits);
+        let restored = self.with_store(|store, ctx| store.restore(ctx, name, &input))?;
+        let out = match restored.flatten() {
+            Some(out) => out,
+            None => {
+                let out = self.run_live(stage, input)?;
+                self.with_store(|store, ctx| store.save(ctx, name, &out, mark))?;
+                out
+            }
+        };
+        match &self.checkpoints {
+            Some(store) if store.interrupt_after.as_deref() == Some(name) => {
+                Err(MapError::Interrupted { stage: name })
+            }
+            _ => Ok(out),
+        }
+    }
+
+    /// Calls `f` with the checkpoint store lent out of the context, or
+    /// returns `None` without one.
+    fn with_store<R>(
+        &mut self,
+        f: impl FnOnce(&mut CheckpointStore, &mut Self) -> Result<R, MapError>,
+    ) -> Result<Option<R>, MapError> {
+        let Some(mut store) = self.checkpoints.take() else { return Ok(None) };
+        let result = f(&mut store, self);
+        self.checkpoints = Some(store);
+        result.map(Some)
+    }
+
+    /// Runs a stage live: the retry/deadline/fault attempt loop, then
+    /// the stage's degraded fallback.
+    fn run_live<In: Clone, S: Stage<In>>(
         &mut self,
         stage: &S,
         input: In,
@@ -262,9 +348,10 @@ impl<'l> FlowContext<'l> {
     }
 
     /// Records one step down the degradation ladder, stamped with this
-    /// context's flow tag. This is the only construction site of
-    /// [`Degradation`].
-    pub fn degrade(&mut self, stage: &'static str, fallback: &'static str, detail: String) {
+    /// context's flow tag. Together with the checkpoint decoder this is
+    /// the only construction site of [`Degradation`].
+    pub fn degrade(&mut self, rung: Rung, detail: String) {
+        let (stage, fallback) = rung.names();
         self.degradations.push(Degradation { flow: self.flow, stage, fallback, detail });
     }
 

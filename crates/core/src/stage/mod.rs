@@ -16,8 +16,8 @@
 //! graceful-degradation audit trail, and a [`StageMetrics`] sink that
 //! records wall-time and artifact size per stage.
 //!
-//! The drivers in [`flow`](crate::flow) — [`run_flow`] and
-//! [`compare_flows`] — are thin sequencers over these stages.
+//! One function in [`flow`](crate::flow) sequences these stages, for
+//! [`run_flow`] and [`compare_flows`] alike.
 //! [`compare_flows`](crate::flow::compare_flows) runs the MIS and Lily
 //! pipelines while *sharing* the upstream artifacts they have in common
 //! (decomposition, pad assignment, subject placement image), so the
@@ -34,6 +34,7 @@ mod stages;
 pub use context::FlowContext;
 pub use mapper::{MapImage, Mapper};
 pub use metrics::{StageMetrics, StageRecord};
+pub(crate) use stages::placement_setup;
 pub use stages::{
     mapped_problem, AssignPads, Decompose, DetailedPlace, LegalPlacement, Legalize, Map, Mapping,
     PadPlan, PlacedDesign, RouteEstimate, RouteFigures, Sta, SubjectImage, SubjectPlace,

@@ -10,7 +10,7 @@ use crate::baseline::MisMapper;
 use crate::cover::{MapStats, Partition};
 use crate::cuts::CutMapper;
 use crate::error::MapError;
-use crate::flow::{DetailedPlacer, FlowMapper, FlowOptions};
+use crate::flow::{DetailedPlacer, FlowMapper, FlowOptions, Rung};
 use crate::lily::LilyMapper;
 use crate::stage::{FlowContext, MapImage, Mapper, Stage, StageArtifact};
 use lily_cells::{Library, MappedNetwork, SignalSource};
@@ -340,8 +340,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
             && g.node_count() > options.physical.cone_partition_max_nodes
         {
             ctx.degrade(
-                "map",
-                "tree-partition",
+                Rung::TreePartition,
                 format!(
                     "{} subject nodes exceed the cone-partition ceiling of {}",
                     g.node_count(),
@@ -365,7 +364,7 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
                     let detail = image
                         .and_then(|i| i.failure.clone())
                         .unwrap_or_else(|| "subject placement unavailable".to_string());
-                    ctx.degrade("lily-global-place", "mis-mapper", detail);
+                    ctx.degrade(Rung::MisMapper, detail);
                     MisMapper::new(lib)
                         .mode(options.mode)
                         .partition(options.partition)
@@ -490,16 +489,12 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                 Err(e) => {
                     // Keep whatever positions the mapper left behind;
                     // the legalizer spreads them into rows regardless.
-                    ctx.degrade("mapped-global-place", "mapper-positions", e.to_string());
+                    ctx.degrade(Rung::MapperPositions, e.to_string());
                 }
             }
         }
 
-        let widths: Vec<f64> = mapped
-            .cells()
-            .iter()
-            .map(|c| lib.gate(c.gate).grids() as f64 * tech.grid_width)
-            .collect();
+        let (widths, problem, fixed) = placement_setup(&mapped, lib);
         let mut desired: Vec<Point> =
             mapped.cells().iter().map(|c| Point::new(c.position.0, c.position.1)).collect();
         if ctx.armed.take_nan() {
@@ -519,19 +514,8 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                     *p = center;
                 }
             }
-            ctx.degrade(
-                "detailed-placement",
-                "core-center-seed",
-                format!("{poisoned} cells had non-finite positions"),
-            );
+            ctx.degrade(Rung::CoreCenterSeed, format!("{poisoned} cells had non-finite positions"));
         }
-        let (problem, _) = mapped_problem(&mapped);
-        let fixed: Vec<Point> = mapped
-            .input_positions
-            .iter()
-            .chain(mapped.output_positions.iter())
-            .map(|&(x, y)| Point::new(x, y))
-            .collect();
         let legal = if widths.is_empty() {
             None
         } else {
@@ -577,8 +561,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                         Ok(astats) if astats.budget_exhausted => {
                             let kind = if per_node_binds { "per-node move" } else { "move" };
                             ctx.degrade(
-                                "anneal",
-                                "greedy",
+                                Rung::GreedyPlacer,
                                 format!(
                                     "{kind} budget exhausted after {} moves",
                                     astats.moves_attempted
@@ -588,7 +571,7 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                         }
                         Ok(_) => pts,
                         Err(e) => {
-                            ctx.degrade("anneal", "greedy", e.to_string());
+                            ctx.degrade(Rung::GreedyPlacer, e.to_string());
                             desired
                         }
                     }
@@ -652,8 +635,7 @@ impl Stage<LegalPlacement> for DetailedPlace {
                     mapped.cells_mut()[i].position = (p.x, p.y);
                 }
                 ctx.degrade(
-                    "detailed-place",
-                    "legalized-only",
+                    Rung::LegalizedOnly,
                     format!("{} cells exceed the improvement ceiling of {ceiling}", widths.len()),
                 );
             } else {
@@ -686,7 +668,7 @@ impl Stage<LegalPlacement> for DetailedPlace {
                 mapped.cells_mut()[i].position = (p.x, p.y);
             }
         }
-        ctx.degrade("detailed-place", "legalized-only", err.to_string());
+        ctx.degrade(Rung::LegalizedOnly, err.to_string());
         Some(PlacedDesign { mapped, core, stats })
     }
 }
@@ -850,9 +832,12 @@ impl<'a> Stage<&'a PlacedDesign> for Sta {
         let mut poison = ctx.armed.take_nan();
         let mut sta = Err(MapError::NonFiniteValue { context: "sta not attempted" });
         for (wire_load, fallback) in [
-            (WireLoad::FromPlacement, "per-fanout"),
-            (WireLoad::PerFanout(ctx.options.physical.mis_wire_cap_per_fanout), "no-wire-load"),
-            (WireLoad::None, ""),
+            (WireLoad::FromPlacement, Some(Rung::PerFanoutLoad)),
+            (
+                WireLoad::PerFanout(ctx.options.physical.mis_wire_cap_per_fanout),
+                Some(Rung::NoWireLoad),
+            ),
+            (WireLoad::None, None),
         ] {
             let attempt = if poison {
                 // Injected NaN poisoning of the first rung: the ladder
@@ -867,13 +852,10 @@ impl<'a> Stage<&'a PlacedDesign> for Sta {
                     sta = Ok(r);
                     break;
                 }
-                Err(e) => {
-                    if fallback.is_empty() {
-                        sta = Err(MapError::from(e));
-                    } else {
-                        ctx.degrade("wire-load", fallback, e.to_string());
-                    }
-                }
+                Err(e) => match fallback {
+                    Some(rung) => ctx.degrade(rung, e.to_string()),
+                    None => sta = Err(MapError::from(e)),
+                },
             }
         }
         let sta = sta?;
@@ -914,6 +896,19 @@ pub fn mapped_problem(mapped: &MappedNetwork) -> (PlacementProblem, usize) {
         nets,
     };
     (problem, n_pi)
+}
+
+/// What legalization needs besides the netlist, all pure functions of
+/// it: cell widths, the placement problem, and the fixed pad positions
+/// (inputs then outputs).
+pub(crate) fn placement_setup(
+    mapped: &MappedNetwork,
+    lib: &Library,
+) -> (Vec<f64>, PlacementProblem, Vec<Point>) {
+    let grid_width = lib.technology().grid_width;
+    let widths = mapped.cells().iter().map(|c| lib.gate(c.gate).grids() as f64 * grid_width);
+    let fixed = mapped.input_positions.iter().chain(&mapped.output_positions);
+    (widths.collect(), mapped_problem(mapped).0, fixed.map(|&(x, y)| Point::new(x, y)).collect())
 }
 
 /// Globally places `problem` inside `region`: the flat GORDIAN placer

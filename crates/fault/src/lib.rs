@@ -439,6 +439,15 @@ impl FiredLog {
     pub fn report(&self) -> FaultReport {
         FaultReport { fired: self.fired.lock().map(|f| f.clone()).unwrap_or_default() }
     }
+
+    /// Appends everything `other` has fired, in its firing order (how a
+    /// flow merges the logs of sub-flows it forked in a fixed order).
+    pub fn absorb(&self, other: &FiredLog) {
+        let fired = other.report().fired;
+        if let Ok(mut mine) = self.fired.lock() {
+            mine.extend(fired);
+        }
+    }
 }
 
 /// The post-run fault report: which scheduled faults actually fired
@@ -491,6 +500,11 @@ impl Injector {
     /// The shared fired-fault log (clone before running the flow).
     pub fn log(&self) -> FiredLog {
         self.log.clone()
+    }
+
+    /// The plan this injector arms.
+    pub fn plan(&self) -> &FaultPlan {
+        &self.plan
     }
 
     /// Called once per stage attempt by the flow engine: bumps the

@@ -475,35 +475,19 @@ pub mod reply {
             .finish()
     }
 
-    /// Terminal success frame for a single-flow job.
+    /// Terminal success frame for a map job: `metrics` for a single
+    /// flow, `mis` and `lily` for a compare job.
     #[must_use]
-    pub fn done_single(id: u64, cache: &str, fired: usize, metrics_json: &str) -> String {
-        JsonObject::new()
+    pub fn done(id: u64, cache: &str, fired: usize, results: &[(&str, String)]) -> String {
+        let mut o = JsonObject::new()
             .uint("id", id)
             .string("event", "done")
             .string("cache", cache)
-            .uint("fired_faults", fired as u64)
-            .raw("metrics", metrics_json)
-            .finish()
-    }
-
-    /// Terminal success frame for a compare job (both pipelines).
-    #[must_use]
-    pub fn done_compare(
-        id: u64,
-        cache: &str,
-        fired: usize,
-        mis_json: &str,
-        lily_json: &str,
-    ) -> String {
-        JsonObject::new()
-            .uint("id", id)
-            .string("event", "done")
-            .string("cache", cache)
-            .uint("fired_faults", fired as u64)
-            .raw("mis", mis_json)
-            .raw("lily", lily_json)
-            .finish()
+            .uint("fired_faults", fired as u64);
+        for (key, json) in results {
+            o = o.raw(key, json);
+        }
+        o.finish()
     }
 
     /// Terminal success frame for a probe job.

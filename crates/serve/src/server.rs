@@ -28,7 +28,9 @@ use std::time::Duration;
 
 use lily_core::json::{JsonObject, ParseLimits};
 use lily_core::mem::{estimate_peak_bytes, MemGauge, MemReservation};
-use lily_core::{run_flow_checkpointed, FlowOptions, MapError};
+use lily_core::{
+    compare_flows_with, run_flow_with, CheckpointStore, FlowContext, FlowOptions, MapError,
+};
 use lily_fault::{CancelToken, FaultKind, FaultPlan};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{blif, Network};
@@ -373,6 +375,14 @@ impl Inner {
         } else {
             journal.append(record)
         };
+    }
+
+    /// Best-effort journal append for records written outside a running
+    /// job (admission and orphan replay).
+    fn journal_append(&self, record: &JournalRecord) {
+        if let Some(journal) = &self.journal {
+            let _ = journal.append(record);
+        }
     }
 
     fn begin_shutdown(&self) {
@@ -732,7 +742,7 @@ fn maybe_stream(inner: &Inner, req: &mut MapRequest, cost: u64, seq: u64) -> Opt
     let applies = cost.saturating_mul(2) > gauge.budget()
         && req.checkpoint.is_none()
         && req.kill_after.is_none()
-        && matches!(req.faults, FaultSpec::None)
+        && !req.compare
         && inner.config.checkpoint_root.is_some();
     if !applies {
         return None;
@@ -805,9 +815,13 @@ fn run_map(inner: &Arc<Inner>, job: &Job, req: &MapRequest) {
         let cache_tag = if hit { "hit" } else { "miss" };
         let net = resolve_network(&req.source)?;
         let options = flow_options(req)?;
-        let plan = fault_plan(&req.faults);
-
+        let mut ctx =
+            FlowContext::new(&entry.library, options).with_faults(fault_plan(&req.faults));
         if let Some(ckpt_id) = &req.checkpoint {
+            if req.compare {
+                let why = "checkpointed jobs run one pipeline; drop `compare` or `checkpoint`";
+                return Err(("bad-request", why.to_string()));
+            }
             let ckpt_id = sanitize_job_id(ckpt_id)?;
             let Some(root) = &inner.config.checkpoint_root else {
                 return Err((
@@ -816,95 +830,47 @@ fn run_map(inner: &Arc<Inner>, job: &Job, req: &MapRequest) {
                         .to_string(),
                 ));
             };
-            if !plan.is_empty() {
-                return Err((
-                    "bad-request",
-                    "checkpointed jobs do not accept fault plans (use kill_after)".to_string(),
-                ));
-            }
             if let Some(stage) = &req.kill_after {
                 if !lily_core::checkpoint::STAGE_NAMES.contains(&stage.as_str()) {
                     return Err(("bad-request", format!("unknown kill_after stage `{stage}`")));
                 }
             }
-            let dir = root.join(ckpt_id);
-            match run_flow_checkpointed(
-                &net,
-                &entry.library,
-                &options,
-                &dir,
-                req.kill_after.as_deref(),
-            ) {
-                Ok(result) => {
-                    let flow = req.flow.split('-').next().unwrap_or("mis");
-                    for r in result.metrics.stages.records() {
-                        job.conn.send(&reply::stage(job.id, flow, r));
-                    }
-                    let metrics = result.metrics.to_json();
-                    inner.journal_job(
-                        job,
-                        &JournalRecord::Completed { seq: job.seq, metrics: metrics.clone() },
-                    );
-                    inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    job.conn.send(&reply::done_single(job.id, cache_tag, 0, &metrics));
-                }
-                Err(e) => finish_error(inner, job, &e),
-            }
-            return Ok(());
+            let store = CheckpointStore::new(root.join(ckpt_id), req.kill_after.as_deref());
+            ctx = ctx.with_checkpoints(store);
         }
-
-        if req.compare {
-            let (result, report) =
-                lily_core::flow::compare_flows_chaos(&net, &entry.library, &options, &plan);
-            match result {
-                Ok(cmp) => {
-                    for r in cmp.mis.metrics.stages.records() {
-                        job.conn.send(&reply::stage(job.id, "mis", r));
-                    }
-                    for r in cmp.lily.metrics.stages.records() {
-                        job.conn.send(&reply::stage(job.id, "lily", r));
-                    }
-                    let metrics = JsonObject::new()
-                        .raw("mis", &cmp.mis.metrics.to_json())
-                        .raw("lily", &cmp.lily.metrics.to_json())
-                        .finish();
-                    inner.journal_job(job, &JournalRecord::Completed { seq: job.seq, metrics });
-                    inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    job.conn.send(&reply::done_compare(
-                        job.id,
-                        cache_tag,
-                        report.fired.len(),
-                        &cmp.mis.metrics.to_json(),
-                        &cmp.lily.metrics.to_json(),
-                    ));
-                }
-                Err(e) => finish_error(inner, job, &e),
-            }
+        let log = ctx.fault_log();
+        let flow = req.flow.split('-').next().unwrap_or("mis");
+        let sides = if req.compare {
+            compare_flows_with(ctx, &net).map(|c| vec![("mis", c.mis), ("lily", c.lily)])
         } else {
-            let (result, report) =
-                lily_core::flow::run_flow_chaos(&net, &entry.library, &options, &plan);
-            match result {
-                Ok(flow_result) => {
-                    let flow = req.flow.split('-').next().unwrap_or("mis");
-                    for r in flow_result.metrics.stages.records() {
-                        job.conn.send(&reply::stage(job.id, flow, r));
-                    }
-                    let metrics = flow_result.metrics.to_json();
-                    inner.journal_job(
-                        job,
-                        &JournalRecord::Completed { seq: job.seq, metrics: metrics.clone() },
-                    );
-                    inner.stats.completed.fetch_add(1, Ordering::Relaxed);
-                    job.conn.send(&reply::done_single(
-                        job.id,
-                        cache_tag,
-                        report.fired.len(),
-                        &metrics,
-                    ));
-                }
-                Err(e) => finish_error(inner, job, &e),
+            run_flow_with(ctx, &net).map(|r| vec![(flow, r)])
+        };
+        let sides = match sides {
+            Ok(sides) => sides,
+            Err(e) => {
+                finish_error(inner, job, &e);
+                return Ok(());
+            }
+        };
+        for (flow, side) in &sides {
+            for r in side.metrics.stages.records() {
+                job.conn.send(&reply::stage(job.id, flow, r));
             }
         }
+        // A single flow's metrics travel as `metrics`; a comparison's
+        // as `mis` and `lily`, journaled together as one object.
+        let results: Vec<(&str, String)> = match &sides[..] {
+            [(_, single)] => vec![("metrics", single.metrics.to_json())],
+            _ => sides.iter().map(|(flow, side)| (*flow, side.metrics.to_json())).collect(),
+        };
+        let metrics = match &results[..] {
+            [(_, single)] => single.clone(),
+            _ => results.iter().fold(JsonObject::new(), |o, (k, v)| o.raw(k, v)).finish(),
+        };
+        let done = reply::done(job.id, cache_tag, log.report().fired.len(), &results);
+        inner.journal_job(job, &JournalRecord::Completed { seq: job.seq, metrics });
+        inner.stats.completed.fetch_add(1, Ordering::Relaxed);
+        job.conn.send(&done);
         Ok(())
     })();
     if let Err((kind, message)) = step {
@@ -1085,9 +1051,7 @@ fn enqueue(inner: &Arc<Inner>, conn: &Arc<Conn>, raw: &str, kind: JobKind) {
     // hears anything, so a crash at any later point leaves a record to
     // resume from.
     if journaled {
-        if let Some(journal) = &inner.journal {
-            let _ = journal.append(&JournalRecord::Accepted { seq, request: raw.to_string() });
-        }
+        inner.journal_append(&JournalRecord::Accepted { seq, request: raw.to_string() });
     }
     match inner.admission.submit(job) {
         Ok(depth) => {
@@ -1104,20 +1068,16 @@ fn enqueue(inner: &Arc<Inner>, conn: &Arc<Conn>, raw: &str, kind: JobKind) {
             // a restart does not resurrect a job the client saw
             // rejected.
             if journaled {
-                if let Some(journal) = &inner.journal {
-                    let _ = journal
-                        .append(&JournalRecord::Failed { seq, kind: "overloaded".to_string() });
-                }
+                inner
+                    .journal_append(&JournalRecord::Failed { seq, kind: "overloaded".to_string() });
             }
             conn.send(&reply::rejected(id, capacity, "overloaded"));
         }
         Err(SubmitError::Closed) => {
             conn.unregister(id);
             if journaled {
-                if let Some(journal) = &inner.journal {
-                    let _ = journal
-                        .append(&JournalRecord::Failed { seq, kind: "shutting-down".to_string() });
-                }
+                let kind = "shutting-down".to_string();
+                inner.journal_append(&JournalRecord::Failed { seq, kind });
             }
             conn.send(&reply::error(id, "shutting-down", "server is shutting down"));
         }
@@ -1133,12 +1093,8 @@ fn readmit_orphan(inner: &Arc<Inner>, orphan: &Orphan) {
     let Ok(Request::Map(mut req)) = Request::from_json(&orphan.request, limits) else {
         // Unreplayable request bytes: close the job out so it cannot
         // orphan-loop across restarts.
-        if let Some(journal) = &inner.journal {
-            let _ = journal.append(&JournalRecord::Failed {
-                seq: orphan.seq,
-                kind: "bad-request".to_string(),
-            });
-        }
+        let kind = "bad-request".to_string();
+        inner.journal_append(&JournalRecord::Failed { seq: orphan.seq, kind });
         return;
     };
     // The kill switch was a drill aid of the original submission; a
@@ -1171,9 +1127,7 @@ fn readmit_orphan(inner: &Arc<Inner>, orphan: &Orphan) {
         torn_write: false,
     };
     let _ = stream_audit; // no peer to audit to; the journal has the request
-    if let Some(journal) = &inner.journal {
-        let _ = journal.append(&JournalRecord::Resumed { seq: orphan.seq });
-    }
+    inner.journal_append(&JournalRecord::Resumed { seq: orphan.seq });
     if inner.admission.submit(job).is_ok() {
         inner.stats.resumed.fetch_add(1, Ordering::Relaxed);
     }

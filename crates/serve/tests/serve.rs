@@ -438,6 +438,48 @@ fn kill_restart_resume_is_bit_identical() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+#[test]
+fn checkpointed_jobs_resume_under_fault_plans_and_refuse_compare() {
+    let root = temp("faulted-resume");
+    let config = ServerConfig { checkpoint_root: Some(root.clone()), ..ServerConfig::default() };
+    let (addr, server) = boot(config);
+    let mut c = connect(addr);
+    // A retried fault before the kill point, a degrading one after it.
+    let mut plan = FaultPlan::new();
+    plan.push("map", 0, FaultKind::StageError);
+    plan.push("legalize", 0, FaultKind::NanPoison);
+    let faulted = |id, checkpoint: Option<&str>, kill_after: Option<&str>| {
+        let mut req = healthy_map(id);
+        req.faults = FaultSpec::Plan(plan.clone());
+        req.checkpoint = checkpoint.map(str::to_string);
+        req.kill_after = kill_after.map(str::to_string);
+        req.to_json()
+    };
+    c.send(&faulted(75, Some("job75"), Some("map"))).unwrap();
+    let e = c.drive(75).unwrap().pop().unwrap();
+    assert_eq!(e.body.get("kind").and_then(|k| k.as_str()), Some("interrupted"), "{:?}", e.body);
+    c.send(&faulted(76, Some("job75"), None)).unwrap();
+    c.send(&faulted(77, None, None)).unwrap();
+    let got = collect_terminals(&mut c, &[76, 77]);
+    let [resumed, fresh] = [76, 77].map(|id| {
+        let (text, e) = got[&id].last().unwrap();
+        assert_eq!(e.event, "done", "job {id}: {:?}", e.body);
+        strip_wall_ns(metrics_tail(text))
+    });
+    assert_eq!(resumed, fresh, "a faulted resume must match the uninterrupted faulted run");
+    assert!(fresh.contains("core-center-seed"));
+    // Checkpoints cover one pipeline: compare + checkpoint is refused.
+    let mut compare = healthy_map(78);
+    compare.compare = true;
+    compare.checkpoint = Some("job78".to_string());
+    c.send(&compare.to_json()).unwrap();
+    let e = c.drive(78).unwrap().pop().unwrap();
+    assert_eq!(e.body.get("kind").and_then(|k| k.as_str()), Some("bad-request"), "{:?}", e.body);
+    shutdown(addr);
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// The acceptance drill: ≥8 concurrent requests mixing healthy jobs,
 /// random fault plans, malformed frames, mid-request disconnects, and
 /// a deadline, against a multi-worker server. Nothing may panic and

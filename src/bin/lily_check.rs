@@ -253,23 +253,18 @@ fn run() -> Result<usize, String> {
     // the point of the CLI is to print every stage's full report, not
     // to stop at the first failing checkpoint.
     let flow_opts = FlowOptions { verify: false, ..opts };
-    let result = match &args.checkpoint_dir {
-        Some(dir) => {
-            match lily::core::run_flow_checkpointed(
-                &net,
-                &lib,
-                &flow_opts,
-                std::path::Path::new(dir),
-                args.kill_after.as_deref(),
-            ) {
-                Err(lily::core::MapError::Interrupted { stage }) => {
-                    println!("interrupted: checkpoint saved through stage `{stage}` in {dir}");
-                    std::process::exit(3);
-                }
-                other => other.map_err(|e| format!("flow: {e}"))?,
-            }
+    let mut ctx = lily::core::FlowContext::new(&lib, flow_opts);
+    if let Some(dir) = &args.checkpoint_dir {
+        ctx =
+            ctx.with_checkpoints(lily::core::CheckpointStore::new(dir, args.kill_after.as_deref()));
+    }
+    let result = match lily::core::run_flow_with(ctx, &net) {
+        Err(lily::core::MapError::Interrupted { stage }) => {
+            let dir = args.checkpoint_dir.as_deref().unwrap_or_default();
+            println!("interrupted: checkpoint saved through stage `{stage}` in {dir}");
+            std::process::exit(3);
         }
-        None => run_flow(&net, &lib, &flow_opts).map_err(|e| format!("flow: {e}"))?,
+        other => other.map_err(|e| format!("flow: {e}"))?,
     };
     for d in &result.metrics.degradations {
         println!("degraded: {d}");

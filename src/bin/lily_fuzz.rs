@@ -51,7 +51,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lily::cells::Library;
-use lily::core::flow::{run_flow_chaos, DetailedPlacer, FlowOptions};
+use lily::core::flow::{run_flow_with, DetailedPlacer, FlowOptions};
+use lily::core::FlowContext;
 use lily::fault::FaultPlan;
 use lily::netlist::{blif, Network};
 use lily::replay::Replay;
@@ -242,7 +243,10 @@ fn drive_chaos(
     let plan = chaos_plan(seed, i);
     let benign = benign_case(i);
     let opts = options_for(i);
-    let (result, report) = run_flow_chaos(net, lib, &opts, &plan);
+    let ctx = FlowContext::new(lib, opts).with_faults(plan);
+    let log = ctx.fault_log();
+    let result = run_flow_with(ctx, net);
+    let report = log.report();
     tally.faults_fired += report.fired.len() as u64;
     match result {
         Ok(r) => {
@@ -321,7 +325,10 @@ fn run_replay(path: &str) -> Result<(), String> {
         return Ok(());
     }
     let opts = options_for(replay.case);
-    let (result, report) = run_flow_chaos(&net, &lib, &opts, &replay.faults);
+    let ctx = FlowContext::new(&lib, opts).with_faults(replay.faults.clone());
+    let log = ctx.fault_log();
+    let result = run_flow_with(ctx, &net);
+    let report = log.report();
     for f in &report.fired {
         println!("  fired: {} at `{}` attempt {}", f.kind.name(), f.stage, f.invocation);
     }
