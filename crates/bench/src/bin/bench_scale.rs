@@ -5,9 +5,9 @@
 //! [`lily_workloads::scale_circuit`] workload is generated and pushed
 //! through one full cut-area flow per thread count, recording the
 //! per-stage wall-time table, the mapped-cell count, the routed wire
-//! length, and the degradation audit (the large sizes legitimately
-//! trade the detailed-place improvement pass away — the audit entries
-//! in the JSON are the honest record of that). The metric columns are
+//! length, and the degradation audit (past the cone-partition ceiling
+//! the mapper covers maximal trees instead of cones — the audit entries
+//! in the JSON are the record of that). The metric columns are
 //! byte-identical across thread counts; only the `flow_ns` column may
 //! move (see `lily-par`).
 //!
@@ -37,6 +37,7 @@ use lily_core::flow::FlowOptions;
 use lily_core::json::{array, JsonObject};
 use lily_fault::CancelToken;
 use lily_netlist::decompose::{decompose, DecomposeOrder};
+use lily_netlist::fnv::Fnv1a;
 use lily_place::multilevel::{try_multilevel_place_cancel, MultilevelOptions};
 use lily_place::{
     pads, try_global_place_cancel, GlobalOptions, PlacementProblem, Point, Rect, SubjectPlacement,
@@ -111,15 +112,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { out, threads, sizes, family, flat_budget })
 }
 
-/// The flow options every scale run uses: the cut-enumeration mapper in
-/// area mode with the per-node annealing budget, so the anneal stage
-/// grows linearly with the design instead of quadratically.
-fn scale_options() -> FlowOptions {
-    let mut options = FlowOptions::cut_area();
-    options.anneal_moves_per_node = Some(64);
-    options
-}
-
 /// One full flow per thread count on one generated circuit.
 fn bench_size(
     family: ScaleFamily,
@@ -135,7 +127,7 @@ fn bench_size(
         net.input_count(),
         net.output_count(),
     );
-    let options = scale_options();
+    let options = FlowOptions::cut_area();
     let mut runs: Vec<String> = Vec::new();
     for &t in threads {
         lily_par::set_threads(Some(t));
@@ -190,18 +182,12 @@ fn bench_size(
 /// FNV-1a over the raw position bits: the cross-thread determinism
 /// fingerprint.
 fn fingerprint(positions: &[Point]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |bits: u64| {
-        for b in bits.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::new();
     for p in positions {
-        eat(p.x.to_bits());
-        eat(p.y.to_bits());
+        h.write(&p.x.to_bits().to_le_bytes());
+        h.write(&p.y.to_bits().to_le_bytes());
     }
-    h
+    h.finish()
 }
 
 /// Times multilevel vs flat CG on the subject graph of the largest
@@ -325,7 +311,6 @@ fn main() {
         .uint("samples", samples as u64)
         .string("family", args.family.name())
         .uint("seed", SEED)
-        .uint("anneal_moves_per_node", 64)
         .raw("sizes", &sizes_json)
         .raw("subject_place", &subject_place)
         .finish();

@@ -43,6 +43,7 @@ use crate::stage::{
 };
 use lily_cells::{CellId, Library, MappedCell, MappedNetwork, SignalSource};
 use lily_fault::FaultPlan;
+use lily_netlist::fnv::Fnv1a;
 use lily_netlist::{LifeCycleStats, Network, SubjectGraph, SubjectKind, SubjectNodeId};
 use lily_place::legalize::Legalized;
 use lily_place::{Point, Rect, SubjectPlacement};
@@ -88,22 +89,16 @@ fn intern_degradation(
 /// fault-free fingerprints are those of directories written before
 /// plans were part of it.
 pub(crate) fn fingerprint(net: &Network, options: &FlowOptions, plan: &FaultPlan) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(format!("{options:?}").as_bytes());
-    eat(net.name().as_bytes());
-    eat(&(net.input_count() as u64).to_le_bytes());
-    eat(&(net.output_count() as u64).to_le_bytes());
-    eat(&(net.node_count() as u64).to_le_bytes());
+    let mut h = Fnv1a::new();
+    h.write(format!("{options:?}").as_bytes());
+    h.write(net.name().as_bytes());
+    h.write(&(net.input_count() as u64).to_le_bytes());
+    h.write(&(net.output_count() as u64).to_le_bytes());
+    h.write(&(net.node_count() as u64).to_le_bytes());
     if !plan.is_empty() {
-        eat(format!("{plan:?}").as_bytes());
+        h.write(format!("{plan:?}").as_bytes());
     }
-    h
+    h.finish()
 }
 
 // ---------------------------------------------------------------------

@@ -89,12 +89,6 @@ impl FlowMapper {
 pub struct PhysicalOptions {
     /// Chip-area model shared by both pipelines.
     pub area_model: AreaModel,
-    /// Detailed-placement improvement passes.
-    pub improvement_passes: usize,
-    /// Congestion detour gain for the routed-length model.
-    pub detour_gain: f64,
-    /// Routing supply per µm² for the congestion grid.
-    pub route_supply: f64,
     /// Estimated mapped-area per inchoate base gate, in layout grids
     /// (sizes Lily's pre-mapping layout image).
     pub grids_per_base_gate: f64,
@@ -112,11 +106,6 @@ pub struct PhysicalOptions {
     /// placer. The default sits far above every corpus circuit, so the
     /// published tables keep the flat path bit-for-bit.
     pub multilevel_threshold: usize,
-    /// Cell count above which the detailed-place improvement pass is
-    /// skipped (legalized positions ship as-is, with an audited
-    /// degradation). The greedy/anneal refiners are O(passes·cells·nets)
-    /// and stop paying for themselves long before this.
-    pub detailed_place_max_cells: usize,
     /// Subject-graph node count above which a cone covering partition
     /// is demoted to maximal trees (with an audited degradation). Logic
     /// cones overlap — one per output, each holding the output's whole
@@ -132,14 +121,10 @@ impl Default for PhysicalOptions {
     fn default() -> Self {
         Self {
             area_model: AreaModel::mcnc(),
-            improvement_passes: 2,
-            detour_gain: 0.3,
-            route_supply: 0.35,
             grids_per_base_gate: 1.5,
             mis_wire_cap_per_fanout: 0.03,
             global_router: false,
             multilevel_threshold: 5_000,
-            detailed_place_max_cells: 25_000,
             cone_partition_max_nodes: 50_000,
         }
     }
@@ -168,13 +153,6 @@ pub struct FlowOptions {
     /// placer and records the degradation; `None` runs the full
     /// schedule.
     pub anneal_move_budget: Option<u64>,
-    /// Per-node annealer move budget: the effective budget is
-    /// `moves_per_node × cells`, so large circuits degrade predictably
-    /// instead of burning a fixed budget ever faster. When both this
-    /// and the absolute [`FlowOptions::anneal_move_budget`] are set,
-    /// the *smaller* of the two budgets binds. `None` leaves only the
-    /// absolute knob (or the full schedule) in charge.
-    pub anneal_moves_per_node: Option<u64>,
     /// Post-mapping fanout optimization: nets driving more than this
     /// many sinks are split into inverter-pair buffer trees (the pass
     /// the paper notes Lily lacks, §5). `None` disables (the published
@@ -217,7 +195,6 @@ impl FlowOptions {
             fanout_limit: None,
             detailed_placer: DetailedPlacer::Greedy,
             anneal_move_budget: None,
-            anneal_moves_per_node: None,
             constructive_placement: true,
             verify: cfg!(debug_assertions),
             stage_deadline: None,
@@ -253,6 +230,24 @@ impl FlowOptions {
     /// The cut-enumeration pipeline in timing mode.
     pub fn cut_delay() -> Self {
         Self::base(FlowMapper::Cut, MapMode::Delay)
+    }
+
+    /// The preset names [`FlowOptions::named`] accepts.
+    pub const NAMES: [&'static str; 6] =
+        ["mis-area", "lily-area", "cut-area", "mis-delay", "lily-delay", "cut-delay"];
+
+    /// The preset called `name` (one of [`FlowOptions::NAMES`]), or
+    /// `None` when no preset has that name.
+    pub fn named(name: &str) -> Option<Self> {
+        Some(match name {
+            "mis-area" => Self::mis_area(),
+            "lily-area" => Self::lily_area(),
+            "cut-area" => Self::cut_area(),
+            "mis-delay" => Self::mis_delay(),
+            "lily-delay" => Self::lily_delay(),
+            "cut-delay" => Self::cut_delay(),
+            _ => return None,
+        })
     }
 
     /// Runs the flow on an optimized network.
@@ -637,7 +632,7 @@ rungs! {
     PerFanoutLoad = ("wire-load", "per-fanout"),
     /// The per-fanout model failed too: time without wire load.
     NoWireLoad = ("wire-load", "no-wire-load"),
-    /// Detailed placement skipped: ship the legalized rows.
+    /// Detailed placement failed: ship the legalized rows.
     LegalizedOnly = ("detailed-place", "legalized-only"),
     /// The subject graph exceeds the cone-partition ceiling: cover
     /// maximal trees instead.
@@ -735,24 +730,13 @@ impl FlowMetrics {
     /// degradation audit — as a JSON object (via the workspace's
     /// dependency-free [`crate::json`] writer).
     pub fn to_json(&self) -> String {
-        self.to_json_with_baseline(None)
-    }
-
-    /// [`to_json`](Self::to_json), with an optional sequential baseline
-    /// stage table: when given, every stage present in both tables
-    /// gains a `"speedup"` field (baseline wall time over this run's)
-    /// so a parallel run's JSON carries its measured per-stage speedup.
-    pub fn to_json_with_baseline(&self, baseline: Option<&StageMetrics>) -> String {
         let stages = array(self.stages.records().iter().map(|r| {
-            let mut o = JsonObject::new()
+            JsonObject::new()
                 .string("stage", r.stage)
                 .uint("wall_ns", r.wall_ns)
                 .uint("size", r.size as u64)
-                .string("unit", r.unit);
-            if let Some(b) = baseline.and_then(|m| m.get(r.stage)) {
-                o = o.float("speedup", b.wall_ns as f64 / r.wall_ns as f64);
-            }
-            o.finish()
+                .string("unit", r.unit)
+                .finish()
         }));
         let degradations = array(self.degradations.iter().map(Degradation::to_json));
         JsonObject::new()
@@ -920,9 +904,6 @@ mod tests {
         assert!(json.contains("\"cells\":"));
         assert!(json.contains("\"threads_used\":"));
         assert!(!json.contains("\"wall_ns\":0,"));
-        // A sequential baseline annotates every stage with a speedup.
-        let annotated = m.to_json_with_baseline(Some(&m.stages));
-        assert_eq!(annotated.matches("\"speedup\":").count(), m.stages.len());
     }
 
     #[test]

@@ -82,16 +82,9 @@ pub struct PadPlan {
 impl PadPlan {
     /// Builds the shared pre-mapping environment of `g`: estimated
     /// layout image sized by `grids_per_base_gate`, core region from
-    /// the area model, and connectivity-driven pad assignment. This is
-    /// the one constructor for subject-graph/pad setup — the flow, the
-    /// experiments, and test fixtures all go through it.
-    pub fn build(g: &SubjectGraph, lib: &Library, options: &FlowOptions) -> Self {
-        Self::build_cancel(g, lib, options, &lily_fault::CancelToken::never())
-            .expect("a never-cancelled pad build cannot be cancelled")
-    }
-
-    /// [`PadPlan::build`] with a cancellation token threaded into the
-    /// pad-ordering placement. Above the multilevel threshold the
+    /// the area model, and connectivity-driven pad assignment, with
+    /// `cancel` threaded into the pad-ordering placement. The
+    /// `assign-pads` stage calls it. Above the multilevel threshold the
     /// interior positions come from the clustered placer instead of
     /// the flat solve inside `assign_pads` (which would dominate the
     /// whole flow at 10⁵ modules); a failed multilevel solve falls
@@ -401,6 +394,10 @@ impl<'a> Stage<(&'a SubjectGraph, &'a PadPlan, Option<&'a SubjectImage>)> for Ma
 // Stage 5: Legalize
 // ---------------------------------------------------------------------
 
+/// Median-relocation/adjacent-swap improvement passes over all rows,
+/// used by legalization and by detailed placement.
+const IMPROVEMENT_PASSES: usize = 2;
+
 /// A row-legal placement of the mapped netlist over its final core
 /// region, plus the placement problem reused by the improvement
 /// passes.
@@ -519,11 +516,8 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
         let legal = if widths.is_empty() {
             None
         } else {
-            let lopts = LegalizeOptions {
-                core,
-                row_height: tech.row_height,
-                passes: options.physical.improvement_passes,
-            };
+            let lopts =
+                LegalizeOptions { core, row_height: tech.row_height, passes: IMPROVEMENT_PASSES };
             let desired = match options.detailed_placer {
                 DetailedPlacer::Greedy => desired,
                 DetailedPlacer::Anneal { seed } => {
@@ -532,26 +526,12 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                     // falls back to the greedy placer on the original
                     // points.
                     let mut pts = desired.clone();
-                    // The per-node knob scales the budget with the
-                    // instance; when both knobs are set the smaller
-                    // budget binds (and names itself in the audit).
-                    let absolute = options.anneal_move_budget;
-                    let per_node =
-                        options.anneal_moves_per_node.map(|m| m.saturating_mul(pts.len() as u64));
-                    let per_node_binds = match (absolute, per_node) {
-                        (Some(a), Some(p)) => p < a,
-                        (None, Some(_)) => true,
-                        _ => false,
-                    };
                     let max_moves = if ctx.armed.take_budget() {
                         // Injected budget crunch: the annealer must
                         // exhaust immediately and audit the fallback.
                         Some(0)
                     } else {
-                        match (absolute, per_node) {
-                            (Some(a), Some(p)) => Some(a.min(p)),
-                            (a, p) => a.or(p),
-                        }
+                        options.anneal_move_budget
                     };
                     let aopts = AnnealOptions { seed, max_moves, ..AnnealOptions::for_core(core) };
                     match try_anneal_cancel(&mut pts, &problem.nets, &fixed, &aopts, &ctx.cancel) {
@@ -559,11 +539,10 @@ impl<'a> Stage<(&'a PadPlan, Mapping)> for Legalize {
                             return Err(MapError::Cancelled { context });
                         }
                         Ok(astats) if astats.budget_exhausted => {
-                            let kind = if per_node_binds { "per-node move" } else { "move" };
                             ctx.degrade(
                                 Rung::GreedyPlacer,
                                 format!(
-                                    "{kind} budget exhausted after {} moves",
+                                    "move budget exhausted after {} moves",
                                     astats.moves_attempted
                                 ),
                             );
@@ -626,28 +605,11 @@ impl Stage<LegalPlacement> for DetailedPlace {
         let tech = lib.technology();
         let LegalPlacement { mut mapped, core, stats, widths, problem, fixed, legal } = input;
         if let Some(legal) = legal {
-            let ceiling = ctx.options.physical.detailed_place_max_cells;
-            if widths.len() > ceiling {
-                // The improvement passes are O(passes·cells·pins) and
-                // stop paying for themselves at this scale; ship the
-                // legalized rows and audit the skip.
-                for (i, p) in legal.positions.iter().enumerate() {
-                    mapped.cells_mut()[i].position = (p.x, p.y);
-                }
-                ctx.degrade(
-                    Rung::LegalizedOnly,
-                    format!("{} cells exceed the improvement ceiling of {ceiling}", widths.len()),
-                );
-            } else {
-                let lopts = LegalizeOptions {
-                    core,
-                    row_height: tech.row_height,
-                    passes: ctx.options.physical.improvement_passes,
-                };
-                let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts);
-                for (i, p) in better.positions.iter().enumerate() {
-                    mapped.cells_mut()[i].position = (p.x, p.y);
-                }
+            let lopts =
+                LegalizeOptions { core, row_height: tech.row_height, passes: IMPROVEMENT_PASSES };
+            let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts);
+            for (i, p) in better.positions.iter().enumerate() {
+                mapped.cells_mut()[i].position = (p.x, p.y);
             }
         }
         ctx.checkpoint("placement", || lily_check::check_placement(&mapped, lib, core))?;
@@ -676,6 +638,14 @@ impl Stage<LegalPlacement> for DetailedPlace {
 // ---------------------------------------------------------------------
 // Stage 7: RouteEstimate
 // ---------------------------------------------------------------------
+
+/// Routing supply per µm² of the congestion grid (and, scaled to a
+/// bin edge, of the pattern router's capacities).
+const ROUTE_SUPPLY: f64 = 0.35;
+
+/// Congestion detour gain: a net's routed length is inflated by
+/// `1 + DETOUR_GAIN · overflow`.
+const DETOUR_GAIN: f64 = 0.3;
 
 /// The routing estimate's output figures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -730,8 +700,7 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
 
         // Routed wire length: Steiner per net, inflated by congestion.
         let nets = mapped.nets();
-        let mut grid =
-            CongestionGrid::for_core(core, tech.row_height, options.physical.route_supply);
+        let mut grid = CongestionGrid::for_core(core, tech.row_height, ROUTE_SUPPLY);
         let per_net: Vec<(Vec<Point>, f64)> = nets
             .iter()
             .map(|n| {
@@ -749,20 +718,14 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
             // detour gain.
             let nx = ((core.width() / tech.row_height).ceil() as usize).max(1);
             let ny = ((core.height() / tech.row_height).ceil() as usize).max(1);
-            let cap =
-                options.physical.route_supply * tech.row_height * tech.row_height / tech.wire_pitch;
+            let cap = ROUTE_SUPPLY * tech.row_height * tech.row_height / tech.wire_pitch;
             let mut router = lily_route::GlobalRouteGrid::new(core, nx, ny, cap, cap);
             let net_pts: Vec<Vec<Point>> = per_net.iter().map(|(pts, _)| pts.clone()).collect();
             let summary = router.route_all(&net_pts);
             summary.wirelength
-                * (1.0
-                    + options.physical.detour_gain * summary.overflow
-                        / (summary.connections.max(1) as f64))
+                * (1.0 + DETOUR_GAIN * summary.overflow / (summary.connections.max(1) as f64))
         } else {
-            per_net
-                .iter()
-                .map(|(pts, len)| grid.routed_length(pts, *len, options.physical.detour_gain))
-                .sum()
+            per_net.iter().map(|(pts, len)| grid.routed_length(pts, *len, DETOUR_GAIN)).sum()
         };
 
         let instance_area = mapped.instance_area(lib);

@@ -6,7 +6,9 @@
 //! metrics).
 
 use lily_cells::{GateKind, Library, Technology};
-use lily_core::flow::{DetailedPlacer, FlowOptions, FlowResult, PhysicalOptions};
+use lily_core::flow::{run_flow_with, DetailedPlacer, FlowOptions, FlowResult, PhysicalOptions};
+use lily_core::FlowContext;
+use lily_fault::{FaultKind, FaultPlan};
 use lily_netlist::decompose::{decompose, DecomposeOrder};
 use lily_netlist::{Network, NodeFunc};
 use lily_workloads::structured::flow_fixture as sample_network;
@@ -90,66 +92,26 @@ fn partial_anneal_budget_still_degrades_but_keeps_going() {
 }
 
 #[test]
-fn per_node_anneal_budget_scales_with_cells_and_names_itself() {
+fn failing_detailed_place_ships_legalized_rows() {
     let lib = Library::big();
     let net = sample_network();
-    // Zero moves per node exhausts immediately, whatever the cell
-    // count; the audit entry must name the per-node knob so logs
-    // distinguish it from the absolute budget.
-    let opts = FlowOptions {
-        detailed_placer: DetailedPlacer::Anneal { seed: 7 },
-        anneal_moves_per_node: Some(0),
-        ..FlowOptions::lily_area()
-    };
-    let r = opts.run_detailed(&net, &lib).unwrap();
-    let d = &r.metrics.degradations;
-    assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
-    assert_eq!((d[0].stage, d[0].fallback), ("anneal", "greedy"));
-    assert!(d[0].detail.contains("per-node move budget exhausted"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
-    // The greedy fallback must match the plain greedy placer's result.
-    let greedy = FlowOptions { detailed_placer: DetailedPlacer::Greedy, ..opts }
-        .run_detailed(&net, &lib)
-        .unwrap();
-    assert_eq!(greedy.metrics.wire_length, r.metrics.wire_length);
-}
-
-#[test]
-fn tighter_absolute_budget_still_binds_with_both_knobs_set() {
-    let lib = Library::big();
-    let net = sample_network();
-    // Absolute 25 < per-node budget for any non-trivial circuit, so
-    // the absolute knob binds and keeps its original audit wording.
-    let opts = FlowOptions {
-        detailed_placer: DetailedPlacer::Anneal { seed: 7 },
-        anneal_move_budget: Some(25),
-        anneal_moves_per_node: Some(u64::MAX / 4),
-        ..FlowOptions::lily_area()
-    };
-    let r = opts.run_detailed(&net, &lib).unwrap();
-    let d = &r.metrics.degradations;
-    assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
-    assert_eq!((d[0].stage, d[0].fallback), ("anneal", "greedy"));
-    assert!(d[0].detail.contains("25 moves"), "detail: {}", d[0].detail);
-    assert!(!d[0].detail.contains("per-node"), "detail: {}", d[0].detail);
-    assert_still_valid(&net, &lib, &opts, &r);
-}
-
-#[test]
-fn oversized_detailed_place_ships_legalized_rows() {
-    let lib = Library::big();
-    let net = sample_network();
-    // A ceiling of zero forces the skip on any circuit; the flow must
-    // ship the legalized rows with an audited degradation.
-    let opts = FlowOptions {
-        physical: PhysicalOptions { detailed_place_max_cells: 0, ..PhysicalOptions::default() },
-        ..FlowOptions::lily_area()
-    };
-    let r = opts.run_detailed(&net, &lib).unwrap();
+    // Fail every detailed-place attempt the default policy makes (the
+    // first try and its one retry); the stage's fallback must ship the
+    // legalized rows with an audited degradation carrying the error.
+    let opts = FlowOptions::lily_area();
+    assert_eq!(opts.stage_retries, 1);
+    let mut plan = FaultPlan::new();
+    plan.push("detailed-place", 0, FaultKind::StageError);
+    plan.push("detailed-place", 1, FaultKind::StageError);
+    let r = run_flow_with(FlowContext::new(&lib, opts).with_faults(plan), &net).unwrap();
     let d = &r.metrics.degradations;
     assert_eq!(d.len(), 1, "expected exactly one degradation, got {d:?}");
     assert_eq!((d[0].stage, d[0].fallback), ("detailed-place", "legalized-only"));
-    assert!(d[0].detail.contains("improvement ceiling"), "detail: {}", d[0].detail);
+    assert!(
+        d[0].detail.contains("injected fault failed stage `detailed-place`"),
+        "{}",
+        d[0].detail
+    );
     assert_still_valid(&net, &lib, &opts, &r);
 }
 

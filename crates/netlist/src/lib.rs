@@ -19,6 +19,7 @@
 //!   Section 2, used to build fanin rectangles during mapping.
 //! * [`blif`] — a reader/writer for a practical subset of BLIF.
 //! * [`sim`] — bit-parallel simulation and random equivalence checking.
+//! * [`fnv`] — the FNV-1a 64 fingerprint hash every crate shares.
 //!
 //! # Example
 //!
@@ -45,6 +46,7 @@ pub mod cones;
 pub mod cuts;
 pub mod decompose;
 pub mod error;
+pub mod fnv;
 pub mod func;
 pub mod lifecycle;
 pub mod network;

@@ -141,15 +141,16 @@ fn pack_row(
 /// Total half-perimeter wire length of `nets`, with movable pins read
 /// from `positions` and fixed pins from `fixed`.
 pub fn hpwl(nets: &[Vec<PinRef>], positions: &[Point], fixed: &[Point]) -> f64 {
-    nets.iter()
-        .filter_map(|net| {
-            Rect::bounding(net.iter().map(|p| match p {
-                PinRef::Movable(i) => positions[*i],
-                PinRef::Fixed(i) => fixed[*i],
-            }))
-            .map(|r| r.half_perimeter())
-        })
-        .sum()
+    nets.iter().filter_map(|net| net_hpwl(net, positions, fixed)).sum()
+}
+
+/// Half-perimeter of one net's pins (`None` for a net without pins).
+fn net_hpwl(pins: &[PinRef], positions: &[Point], fixed: &[Point]) -> Option<f64> {
+    Rect::bounding(pins.iter().map(|p| match p {
+        PinRef::Movable(i) => positions[*i],
+        PinRef::Fixed(i) => fixed[*i],
+    }))
+    .map(|r| r.half_perimeter())
 }
 
 /// Detailed-placement improvement: alternating median relocation and
@@ -172,24 +173,17 @@ pub fn improve(
 ) -> Legalized {
     let mut best = legal.clone();
     let mut best_cost = hpwl(nets, &best.positions, fixed);
-    // Index nets by movable module once.
-    let mut touching: Vec<Vec<usize>> = vec![Vec::new(); widths.len()];
-    for (ni, net) in nets.iter().enumerate() {
-        for p in net {
-            if let PinRef::Movable(m) = p {
-                touching[*m].push(ni);
-            }
-        }
-    }
+    let inc = Incidence::new(nets, widths.len());
 
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for _ in 0..opts.passes.max(1) {
         // Median relocation: optimal per-cell location given the rest.
         let mut desired = best.positions.clone();
-        for cell in 0..widths.len() {
-            let mut xs = Vec::new();
-            let mut ys = Vec::new();
-            for &ni in &touching[cell] {
-                for p in &nets[ni] {
+        for (cell, slot) in desired.iter_mut().enumerate() {
+            xs.clear();
+            ys.clear();
+            for &ni in inc.nets_of(cell) {
+                for p in inc.pins(ni) {
                     let q = match p {
                         PinRef::Movable(i) if *i == cell => continue,
                         PinRef::Movable(i) => best.positions[*i],
@@ -200,13 +194,15 @@ pub fn improve(
                 }
             }
             if !xs.is_empty() {
-                xs.sort_by(|a, b| a.total_cmp(b));
-                ys.sort_by(|a, b| a.total_cmp(b));
-                desired[cell] = Point::new(xs[xs.len() / 2], ys[ys.len() / 2]);
+                // The element a total-order sort would put in the middle.
+                let mid = xs.len() / 2;
+                let x = *xs.select_nth_unstable_by(mid, f64::total_cmp).1;
+                let y = *ys.select_nth_unstable_by(mid, f64::total_cmp).1;
+                *slot = Point::new(x, y);
             }
         }
         let relocated = legalize(widths, &desired, opts);
-        let swapped = swap_pass(&relocated, widths, nets, fixed, &touching);
+        let swapped = swap_pass(&relocated, widths, &inc, fixed);
         let cost = hpwl(nets, &swapped.positions, fixed);
         if cost + 1e-9 < best_cost {
             best = swapped;
@@ -216,7 +212,7 @@ pub fn improve(
         }
     }
     // One final swap polish on the best solution.
-    let polished = swap_pass(&best, widths, nets, fixed, &touching);
+    let polished = swap_pass(&best, widths, &inc, fixed);
     if hpwl(nets, &polished.positions, fixed) < best_cost {
         polished
     } else {
@@ -224,30 +220,71 @@ pub fn improve(
     }
 }
 
-/// One sweep of adjacent-swap improvement within rows.
-fn swap_pass(
-    legal: &Legalized,
-    widths: &[f64],
-    nets: &[Vec<PinRef>],
-    fixed: &[Point],
-    touching: &[Vec<usize>],
-) -> Legalized {
+/// The nets' pins and each movable module's nets, flattened into
+/// compressed rows so the improvement sweeps read two arrays instead
+/// of chasing one allocation per net and per module.
+struct Incidence {
+    net_start: Vec<usize>,
+    pins: Vec<PinRef>,
+    cell_start: Vec<usize>,
+    cell_nets: Vec<usize>,
+}
+
+impl Incidence {
+    fn new(nets: &[Vec<PinRef>], cells: usize) -> Self {
+        let mut net_start = Vec::with_capacity(nets.len() + 1);
+        net_start.push(0);
+        let mut pins = Vec::new();
+        let mut cell_start = vec![0usize; cells + 1];
+        for net in nets {
+            pins.extend_from_slice(net);
+            net_start.push(pins.len());
+            for p in net {
+                if let PinRef::Movable(m) = p {
+                    cell_start[*m + 1] += 1;
+                }
+            }
+        }
+        for c in 0..cells {
+            cell_start[c + 1] += cell_start[c];
+        }
+        // A module's nets in ascending net order, one entry per pin.
+        let mut fill = cell_start.clone();
+        let mut cell_nets = vec![0usize; cell_start[cells]];
+        for (ni, net) in nets.iter().enumerate() {
+            for p in net {
+                if let PinRef::Movable(m) = p {
+                    cell_nets[fill[*m]] = ni;
+                    fill[*m] += 1;
+                }
+            }
+        }
+        Self { net_start, pins, cell_start, cell_nets }
+    }
+
+    fn pins(&self, net: usize) -> &[PinRef] {
+        &self.pins[self.net_start[net]..self.net_start[net + 1]]
+    }
+
+    fn nets_of(&self, cell: usize) -> &[usize] {
+        &self.cell_nets[self.cell_start[cell]..self.cell_start[cell + 1]]
+    }
+
+    fn net_count(&self) -> usize {
+        self.net_start.len() - 1
+    }
+}
+
+/// Up to four sweeps of adjacent-swap improvement within rows.
+fn swap_pass(legal: &Legalized, widths: &[f64], inc: &Incidence, fixed: &[Point]) -> Legalized {
     let mut out = legal.clone();
-    let local_cost = |cells: &[usize], positions: &[Point]| -> f64 {
-        let mut seen: Vec<usize> =
-            cells.iter().flat_map(|&c| touching[c].iter().copied()).collect();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.iter()
-            .filter_map(|&ni| {
-                Rect::bounding(nets[ni].iter().map(|p| match p {
-                    PinRef::Movable(i) => positions[*i],
-                    PinRef::Fixed(i) => fixed[*i],
-                }))
-                .map(|r| r.half_perimeter())
-            })
-            .sum()
-    };
+    // Every net's current HPWL. Only an accepted swap moves cells, and
+    // it stores its nets' new values, so a pair's cost before the trial
+    // swap is read here instead of recomputed.
+    let mut hpwl_of: Vec<Option<f64>> =
+        (0..inc.net_count()).map(|ni| net_hpwl(inc.pins(ni), &out.positions, fixed)).collect();
+    let mut pair_nets: Vec<usize> = Vec::new();
+    let mut trial: Vec<Option<f64>> = Vec::new();
 
     for _ in 0..4 {
         let mut improved = false;
@@ -255,7 +292,11 @@ fn swap_pass(
             for i in 0..out.rows[r].len().saturating_sub(1) {
                 let a = out.rows[r][i];
                 let b = out.rows[r][i + 1];
-                let before = local_cost(&[a, b], &out.positions);
+                pair_nets.clear();
+                pair_nets.extend(inc.nets_of(a).iter().chain(inc.nets_of(b)).copied());
+                pair_nets.sort_unstable();
+                pair_nets.dedup();
+                let before: f64 = pair_nets.iter().filter_map(|&ni| hpwl_of[ni]).sum();
                 // Swap by re-packing the pair inside its combined span
                 // (left edge of `a` to right edge of `b`): exchanging
                 // centers directly would leak unequal widths onto the
@@ -264,10 +305,17 @@ fn swap_pass(
                 let left = pa.x - widths[a] / 2.0;
                 out.positions[b] = Point::new(left + widths[b] / 2.0, pb.y);
                 out.positions[a] = Point::new(left + widths[b] + widths[a] / 2.0, pa.y);
-                let after = local_cost(&[a, b], &out.positions);
+                trial.clear();
+                trial.extend(
+                    pair_nets.iter().map(|&ni| net_hpwl(inc.pins(ni), &out.positions, fixed)),
+                );
+                let after: f64 = trial.iter().filter_map(|&h| h).sum();
                 if after + 1e-9 < before {
                     out.rows[r].swap(i, i + 1);
                     improved = true;
+                    for (&ni, &h) in pair_nets.iter().zip(&trial) {
+                        hpwl_of[ni] = h;
+                    }
                 } else {
                     out.positions[a] = pa;
                     out.positions[b] = pb;

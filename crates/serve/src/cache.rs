@@ -17,34 +17,27 @@ use std::sync::{Arc, Mutex};
 
 use lily_cells::Library;
 use lily_core::matching::MatchScratch;
+use lily_netlist::fnv::Fnv1a;
 
 /// FNV-1a over the observable shape of a built library: name, then
 /// per gate its name, fanin, function bits, area bits, and pattern
 /// count. Stable across processes for identical libraries.
 #[must_use]
 pub fn library_fingerprint(lib: &Library) -> u64 {
-    const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = BASIS;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
-    eat(lib.name().as_bytes());
+    let mut h = Fnv1a::new();
+    h.write(lib.name().as_bytes());
     for g in lib.gates() {
-        eat(b"\x00");
-        eat(g.name().as_bytes());
-        eat(&(g.fanin() as u64).to_le_bytes());
-        eat(&g.function().bits().to_le_bytes());
-        eat(&g.area().to_bits().to_le_bytes());
-        eat(&(g.patterns().len() as u64).to_le_bytes());
+        h.write(b"\x00");
+        h.write(g.name().as_bytes());
+        h.write(&(g.fanin() as u64).to_le_bytes());
+        h.write(&g.function().bits().to_le_bytes());
+        h.write(&g.area().to_bits().to_le_bytes());
+        h.write(&(g.patterns().len() as u64).to_le_bytes());
     }
     // The cut mapper matches through the NPN index, so its identity is
     // part of the library's observable shape: fold it in.
-    eat(&lib.npn().fingerprint().to_le_bytes());
-    h
+    h.write(&lib.npn().fingerprint().to_le_bytes());
+    h.finish()
 }
 
 /// One cached library plus its scratch pool.

@@ -767,15 +767,8 @@ fn wants_torn_write(spec: &FaultSpec) -> bool {
 }
 
 fn flow_options(req: &MapRequest) -> Result<FlowOptions, (&'static str, String)> {
-    let mut options = match req.flow.as_str() {
-        "mis-area" => FlowOptions::mis_area(),
-        "lily-area" => FlowOptions::lily_area(),
-        "mis-delay" => FlowOptions::mis_delay(),
-        "lily-delay" => FlowOptions::lily_delay(),
-        "cut-area" => FlowOptions::cut_area(),
-        "cut-delay" => FlowOptions::cut_delay(),
-        other => return Err(("bad-request", format!("unknown flow `{other}`"))),
-    };
+    let mut options = FlowOptions::named(&req.flow)
+        .ok_or_else(|| ("bad-request", format!("unknown flow `{}`", req.flow)))?;
     // Service responses must not depend on the build profile, so pin
     // what `FlowOptions::base` derives from `debug_assertions`.
     options.verify = false;

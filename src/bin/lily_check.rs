@@ -25,9 +25,7 @@
 //!
 //! `--threads N` pins the deterministic parallel runtime to `N` worker
 //! threads (overriding `LILY_THREADS`); results are byte-identical at
-//! any setting. When the effective count exceeds 1 and `--metrics-json`
-//! is requested, the flow is re-run once sequentially so each stage's
-//! JSON record carries a measured `"speedup"` field.
+//! any setting, and the flow runs once whatever the count.
 //!
 //! `--checkpoint-dir` runs the flow through the checkpointed driver:
 //! every completed stage artifact is persisted to the directory, and a
@@ -43,7 +41,7 @@
 
 use lily::cells::Library;
 use lily::check;
-use lily::core::flow::{run_flow, FlowOptions};
+use lily::core::flow::FlowOptions;
 use lily::netlist::decompose::decompose;
 use lily::place::Point;
 use lily::place::Rect;
@@ -199,19 +197,9 @@ fn run() -> Result<usize, String> {
         "big-sized" => Library::big_sized(),
         other => return Err(format!("unknown library `{other}` (tiny|big|big-sized)")),
     };
-    let opts = match args.flow.as_str() {
-        "mis-area" => FlowOptions::mis_area(),
-        "lily-area" => FlowOptions::lily_area(),
-        "mis-delay" => FlowOptions::mis_delay(),
-        "lily-delay" => FlowOptions::lily_delay(),
-        "cut-area" => FlowOptions::cut_area(),
-        "cut-delay" => FlowOptions::cut_delay(),
-        other => {
-            return Err(format!(
-            "unknown flow `{other}` (mis-area|lily-area|cut-area|mis-delay|lily-delay|cut-delay)"
-        ))
-        }
-    };
+    let opts = FlowOptions::named(&args.flow).ok_or_else(|| {
+        format!("unknown flow `{}` ({})", args.flow, FlowOptions::NAMES.join("|"))
+    })?;
     let net = load_network(&args)?;
     println!(
         "{}: {} inputs, {} outputs, {} nodes",
@@ -306,18 +294,8 @@ fn run() -> Result<usize, String> {
         );
     }
     if let Some(path) = &args.metrics_json {
-        // With real parallelism in play, measure per-stage speedup
-        // against a one-thread re-run of the same (deterministic) flow.
-        let json = if result.metrics.stages.threads_used() > 1 {
-            lily::par::set_threads(Some(1));
-            let seq = run_flow(&net, &lib, &FlowOptions { verify: false, ..opts })
-                .map_err(|e| format!("flow (sequential baseline): {e}"))?;
-            lily::par::set_threads(args.threads);
-            result.metrics.to_json_with_baseline(Some(&seq.metrics.stages))
-        } else {
-            result.metrics.to_json()
-        };
-        std::fs::write(path, json).map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        std::fs::write(path, result.metrics.to_json())
+            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
         println!("metrics json: {path}");
     }
     Ok(errors)

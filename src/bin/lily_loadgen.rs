@@ -497,12 +497,12 @@ fn await_journal_completion(
     }
 }
 
-/// Blanks run-to-run volatile metric values (wall times, derived
-/// speedups, the thread count) so journal metrics can be byte-compared
+/// Blanks run-to-run volatile metric values (wall times, the thread
+/// count) so journal metrics can be byte-compared
 /// across runs and thread counts — the shell-side twin of
 /// `tools/serve_smoke.sh`'s `strip()`.
 fn strip_volatile(s: &str) -> String {
-    const KEYS: [&str; 3] = ["\"wall_ns\":", "\"speedup\":", "\"threads\":"];
+    const KEYS: [&str; 2] = ["\"wall_ns\":", "\"threads\":"];
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
     let mut i = 0;
