@@ -27,11 +27,14 @@
 //!
 //! `--fast` keeps sizes 1000,5000 with a 10 s flat budget (the CI smoke
 //! configuration). Sample count follows `LILY_BENCH_SAMPLES`
-//! (default 1); the median is reported.
+//! (default 1), after one untimed warm-up run. Every timed field is
+//! reported as the median of the samples (`flow_ns`, each stage's
+//! `wall_ns`) with its spread beside it (`flow_min_ns`/`flow_max_ns`,
+//! `wall_min_ns`/`wall_max_ns`).
 
 use std::time::{Duration, Instant};
 
-use lily_bench::harness::{env_samples, iso8601_now, median_ns, stages_json};
+use lily_bench::harness::{env_samples, iso8601_now};
 use lily_cells::Library;
 use lily_core::flow::FlowOptions;
 use lily_core::json::{array, JsonObject};
@@ -131,39 +134,67 @@ fn bench_size(
     let mut runs: Vec<String> = Vec::new();
     for &t in threads {
         lily_par::set_threads(Some(t));
-        let mut stages = String::from("[]");
-        let mut cells = 0u64;
-        let mut wire_length = 0.0f64;
-        let mut degradations = String::from("[]");
-        let flow_ns = median_ns(samples, || match lily_core::run_flow(&net, lib, &options) {
-            Ok(r) => {
-                stages = stages_json(r.metrics.stages.records());
-                cells = r.metrics.cells as u64;
-                wire_length = r.metrics.wire_length;
-                degradations = array(r.metrics.degradations.iter().map(|d| {
-                    JsonObject::new()
-                        .string("stage", d.stage)
-                        .string("fallback", d.fallback)
-                        .string("detail", &d.detail)
-                        .finish()
-                }));
-                r.metrics.cells
+        // One untimed warm-up, then `samples` timed flows; `stage_ns[k]`
+        // collects stage k's wall times (the stage sequence is the same
+        // on every run).
+        let mut last = None;
+        let mut flow_ns: Vec<u64> = Vec::new();
+        let mut stage_ns: Vec<Vec<u64>> = Vec::new();
+        for sample in 0..=samples.max(1) {
+            let t0 = Instant::now();
+            let run = lily_core::run_flow(&net, lib, &options);
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            match run {
+                Ok(r) => {
+                    let records = r.metrics.stages.records();
+                    stage_ns.resize(records.len(), Vec::new());
+                    if sample > 0 {
+                        flow_ns.push(ns);
+                        for (walls, rec) in stage_ns.iter_mut().zip(records) {
+                            walls.push(rec.wall_ns);
+                        }
+                    }
+                    last = Some(r.metrics);
+                }
+                Err(e) => eprintln!("bench_scale: {family}/{target}: flow failed: {e}"),
             }
-            Err(e) => {
-                eprintln!("bench_scale: {family}/{target}: flow failed: {e}");
-                0
-            }
-        });
+        }
+        let Some(m) = last else { continue };
+        let stages = array(m.stages.records().iter().zip(&stage_ns).map(|(r, walls)| {
+            let (median, min, max) = spread(walls);
+            JsonObject::new()
+                .string("stage", r.stage)
+                .uint("wall_ns", median)
+                .uint("wall_min_ns", min)
+                .uint("wall_max_ns", max)
+                .uint("size", r.size as u64)
+                .string("unit", r.unit)
+                .finish()
+        }));
+        let degradations = array(m.degradations.iter().map(|d| {
+            JsonObject::new()
+                .string("stage", d.stage)
+                .string("fallback", d.fallback)
+                .string("detail", &d.detail)
+                .finish()
+        }));
+        let (median, min, max) = spread(&flow_ns);
         println!(
-            "bench_scale: {family} target {target}: threads {t}: flow {:.2} s, {cells} cells",
-            flow_ns as f64 / 1e9,
+            "bench_scale: {family} target {target}: threads {t}: flow {:.2} s ({:.2}–{:.2}), {} \
+             cells",
+            median as f64 / 1e9,
+            min as f64 / 1e9,
+            max as f64 / 1e9,
+            m.cells,
         );
         runs.push(
             JsonObject::new()
                 .uint("threads", t as u64)
-                .uint("flow_ns", flow_ns)
-                .uint("cells", cells)
-                .float("wire_length", wire_length)
+                .uint("flow_ns", median)
+                .uint("flow_min_ns", min)
+                .uint("flow_max_ns", max)
+                .uint("cells", m.cells as u64)
+                .float("wire_length", m.wire_length)
                 .raw("degradations", &degradations)
                 .raw("stages", &stages)
                 .finish(),
@@ -177,6 +208,17 @@ fn bench_size(
         .uint("outputs", net.output_count() as u64)
         .raw("runs", &array(runs))
         .finish()
+}
+
+/// Median (upper middle for an even count), minimum and maximum of
+/// timing samples; zeros when there are none.
+fn spread(samples: &[u64]) -> (u64, u64, u64) {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    match (sorted.first(), sorted.last()) {
+        (Some(&min), Some(&max)) => (sorted[sorted.len() / 2], min, max),
+        _ => (0, 0, 0),
+    }
 }
 
 /// FNV-1a over the raw position bits: the cross-thread determinism

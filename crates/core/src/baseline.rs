@@ -6,7 +6,7 @@
 //! function of the fanout count — paper Section 4.2). Positions play no
 //! role; the physical design tools get the netlist afterwards.
 
-use crate::cover::{Engine, MapMode, MapResult, Partition};
+use crate::cover::{Engine, MapMode, MapResult, Partition, Scope};
 use crate::error::MapError;
 use lily_cells::Library;
 use lily_netlist::{SubjectGraph, SubjectKind, SubjectNodeId};
@@ -89,71 +89,68 @@ impl<'l> MisMapper<'l> {
     /// See [`MapError`].
     pub fn map(&self, g: &SubjectGraph) -> Result<MapResult, MapError> {
         let mut e = Engine::new(g, self.lib)?;
-        let scopes = e.scopes(self.options.partition, None);
-        let n = g.node_count();
-
-        // Persistent DP value arrays (hawks keep theirs across cones).
-        let mut area = vec![0.0f64; n];
-        let mut arrival = vec![Arrival::ZERO; n];
-
-        // Wire-blind output load at a subject node: all base fanouts.
-        let pin_cap = self.lib.technology().pin_cap;
-        let load_of = |e: &Engine, v: SubjectNodeId| -> f64 {
-            let fanout = e.fanouts[v.index()].len() + e.orefs[v.index()];
-            fanout as f64 * (pin_cap + self.options.wire_cap_per_fanout)
-        };
-
+        let scopes = e.scopes(self.options.partition);
+        let mut dp = MisDp::new(self, g.node_count());
         for scope in &scopes {
-            for &v in scope.members() {
-                if !e.visit(v) {
-                    continue; // hawk: cost already settled
-                }
-                let mut best: Option<(f64, f64, usize, Arrival)> = None; // (key, tiebreak, match, arrival)
-                let cl = load_of(&e, v);
-                for (mi, m) in e.idx.at(v).iter().enumerate() {
-                    if !e.match_allowed(scope, m) {
-                        continue;
-                    }
-                    let gate = self.lib.gate(m.gate);
-                    // Area accumulation (also the delay-mode tiebreak).
-                    let mut a = gate.area();
-                    for &vi in &m.inputs {
-                        if self.dp_contributes(&e, vi) {
-                            a += area[vi.index()];
-                        }
-                    }
-                    let (key, tiebreak, arr) = match self.options.mode {
-                        MapMode::Area => (a, 0.0, Arrival::ZERO),
-                        MapMode::Delay => {
-                            let mut out = Arrival::NEG_INF;
-                            for (pi, (&vi, pin)) in m.inputs.iter().zip(gate.pins()).enumerate() {
-                                let t_in = self.input_arrival(&e, vi, &arrival);
-                                let u = unateness(gate.function(), pi);
-                                out = out.max(propagate(t_in, pin, u, cl));
-                            }
-                            (out.worst(), a, out)
-                        }
-                    };
-                    if best.is_none_or(|(bk, bt, _, _)| {
-                        key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
-                    }) {
-                        best = Some((key, tiebreak, mi, arr));
-                    }
-                }
-                let (key, _t, mi, arr) = best.ok_or(MapError::NoMatch { node: v.index() })?;
-                e.chosen[v.index()] = mi;
-                e.solved[v.index()] = true;
-                match self.options.mode {
-                    MapMode::Area => area[v.index()] = key,
-                    MapMode::Delay => {
-                        arrival[v.index()] = arr;
-                        area[v.index()] = _t;
-                    }
-                }
-            }
-            e.commit(scope.root(), &mut |_| (0.0, 0.0));
+            dp.cover(&mut e, scope)?;
         }
         Ok(e.finish())
+    }
+
+    /// Wire-blind output load at a subject node: all base fanouts.
+    fn load_of(&self, e: &Engine, v: SubjectNodeId) -> f64 {
+        let fanout = e.fanouts[v.index()].len() + e.orefs[v.index()];
+        fanout as f64 * (self.lib.technology().pin_cap + self.options.wire_cap_per_fanout)
+    }
+
+    /// Solves `v` against the engine's current state: the best match's
+    /// index, its DP area (the delay-mode tiebreak) and, in delay mode,
+    /// its output arrival (zero in area mode).
+    fn solve(
+        &self,
+        e: &Engine,
+        scope: &Scope,
+        v: SubjectNodeId,
+        area: &[f64],
+        arrival: &[Arrival],
+    ) -> Result<(usize, f64, Arrival), MapError> {
+        let mut best: Option<(f64, f64, usize, Arrival)> = None; // (key, tiebreak, match, arrival)
+        let cl = self.load_of(e, v);
+        for (mi, m) in e.idx.at(v).iter().enumerate() {
+            if !e.match_allowed(scope, m) {
+                continue;
+            }
+            let gate = self.lib.gate(m.gate);
+            // Area accumulation (also the delay-mode tiebreak).
+            let mut a = gate.area();
+            for &vi in &m.inputs {
+                if self.dp_contributes(e, vi) {
+                    a += area[vi.index()];
+                }
+            }
+            let (key, tiebreak, arr) = match self.options.mode {
+                MapMode::Area => (a, 0.0, Arrival::ZERO),
+                MapMode::Delay => {
+                    let mut out = Arrival::NEG_INF;
+                    for (pi, (&vi, pin)) in m.inputs.iter().zip(gate.pins()).enumerate() {
+                        let t_in = self.input_arrival(e, vi, arrival);
+                        let u = unateness(gate.function(), pi);
+                        out = out.max(propagate(t_in, pin, u, cl));
+                    }
+                    (out.worst(), a, out)
+                }
+            };
+            if best.is_none_or(|(bk, bt, _, _)| {
+                key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
+            }) {
+                best = Some((key, tiebreak, mi, arr));
+            }
+        }
+        let (key, tiebreak, mi, arr) = best.ok_or(MapError::NoMatch { node: v.index() })?;
+        Ok(match self.options.mode {
+            MapMode::Area => (mi, key, arr),
+            MapMode::Delay => (mi, tiebreak, arr),
+        })
     }
 
     /// Whether `vi` contributes a DP cost (false for primary inputs and
@@ -168,6 +165,45 @@ impl<'l> MisMapper<'l> {
             SubjectKind::Input(_) => Arrival::ZERO,
             _ => arrival[vi.index()],
         }
+    }
+}
+
+/// The baseline DP's stored per-node values (hawks keep theirs across
+/// cones).
+struct MisDp<'m, 'l> {
+    mapper: &'m MisMapper<'l>,
+    area: Vec<f64>,
+    arrival: Vec<Arrival>,
+}
+
+impl<'m, 'l> MisDp<'m, 'l> {
+    fn new(mapper: &'m MisMapper<'l>, n: usize) -> Self {
+        Self { mapper, area: vec![0.0; n], arrival: vec![Arrival::ZERO; n] }
+    }
+
+    /// Covers one scope: solves every node the engine hands out, then
+    /// commits the chosen cover.
+    fn cover(&mut self, e: &mut Engine, scope: &Scope) -> Result<(), MapError> {
+        for &v in scope.members() {
+            if e.visit(v) {
+                let (mi, a, arr) = self.mapper.solve(e, scope, v, &self.area, &self.arrival)?;
+                self.store(e, v, mi, a, arr);
+            }
+        }
+        e.commit(scope.root(), &mut |_| (0.0, 0.0));
+        Ok(())
+    }
+
+    /// Stores the values of `v`; its readers go stale only if they
+    /// differ bit for bit from the stored ones.
+    fn store(&mut self, e: &mut Engine, v: SubjectNodeId, mi: usize, a: f64, arr: Arrival) {
+        let old = (self.area[v.index()], self.arrival[v.index()]);
+        let changed = old.0.to_bits() != a.to_bits()
+            || old.1.rise.to_bits() != arr.rise.to_bits()
+            || old.1.fall.to_bits() != arr.fall.to_bits();
+        self.area[v.index()] = a;
+        self.arrival[v.index()] = arr;
+        e.record(v, mi, changed);
     }
 }
 
@@ -287,5 +323,53 @@ mod tests {
         let r = MisMapper::new(&lib).map(&g).unwrap();
         assert_eq!(r.mapped.cell_count(), 0);
         assert!(equiv_mapped_subject(&g, &r.mapped, &lib, 4, 1));
+    }
+
+    #[test]
+    fn skipped_doves_match_a_full_re_solve() {
+        // Runs the DP cone by cone like `MisMapper::map`, but re-solves
+        // every dove the engine skips as clean and asserts that the
+        // stored choice and values are bit-identical to the re-solve.
+        use crate::cover::stale_rule_designs::designs;
+        use lily_netlist::NodeState;
+        let lib = Library::big();
+        for (g, _, _) in designs(&lib) {
+            for mode in [MapMode::Area, MapMode::Delay] {
+                let mapper = MisMapper::new(&lib).mode(mode).wire_cap_per_fanout(0.03);
+                let mut e = Engine::new(&g, &lib).unwrap();
+                let scopes = e.scopes(Partition::Cones);
+                let mut dp = MisDp::new(&mapper, g.node_count());
+                let mut checked = 0;
+                for scope in &scopes {
+                    for &v in scope.members() {
+                        let dove = e.life.state(v) == NodeState::Dove;
+                        if e.visit(v) {
+                            let (mi, a, arr) =
+                                mapper.solve(&e, scope, v, &dp.area, &dp.arrival).unwrap();
+                            dp.store(&mut e, v, mi, a, arr);
+                        } else if dove {
+                            let (mi, a, arr) =
+                                mapper.solve(&e, scope, v, &dp.area, &dp.arrival).unwrap();
+                            let i = v.index();
+                            assert_eq!(mi, e.chosen[i], "dove {v}: choice");
+                            assert_eq!(a.to_bits(), dp.area[i].to_bits(), "dove {v}: area");
+                            assert_eq!(
+                                arr.rise.to_bits(),
+                                dp.arrival[i].rise.to_bits(),
+                                "dove {v}"
+                            );
+                            assert_eq!(
+                                arr.fall.to_bits(),
+                                dp.arrival[i].fall.to_bits(),
+                                "dove {v}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                    e.commit(scope.root(), &mut |_| (0.0, 0.0));
+                }
+                assert!(checked > 0, "{} {mode:?}: no dove was skipped", g.name());
+            }
+        }
     }
 }

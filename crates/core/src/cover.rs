@@ -7,6 +7,11 @@
 //! into cells, how logic duplication (dove reincarnation) is handled,
 //! and which committed cells consume each subject signal (the *true
 //! fanout* bookkeeping of Section 3.3).
+//!
+//! Cone covering is incremental. A dove's DP solution depends on a small,
+//! known part of the covering state (see [`Engine::visit`]), so the engine
+//! keeps it until a commit or a re-solve changes that part, and later
+//! cones reuse it instead of solving the dove again.
 
 use crate::error::MapError;
 use crate::matching::{Match, MatchIndex};
@@ -115,7 +120,63 @@ pub struct Engine<'a> {
     pub fanouts: Vec<Vec<SubjectNodeId>>,
     /// Primary-output reference counts (cached).
     pub orefs: Vec<usize>,
+    /// Whether something the node's stored DP solution read has changed
+    /// since it was solved (only consulted for doves).
+    stale: Vec<bool>,
+    /// The nodes whose solution reads each node (built with the cone
+    /// scopes; tree scopes are disjoint and never revisit a node).
+    readers: Readers,
     stats: MapStats,
+}
+
+/// For every subject node `u`, the nodes with a match that has `u` among
+/// its inputs or covered nodes, in one flat compressed row array.
+#[derive(Debug, Clone, Default)]
+struct Readers {
+    /// Row `u` is `nodes[start[u]..start[u + 1]]`; empty until built.
+    start: Vec<usize>,
+    nodes: Vec<SubjectNodeId>,
+}
+
+impl Readers {
+    fn build(idx: &MatchIndex, n: usize) -> Self {
+        // Two passes over the matches: count, then fill. `last[u]` holds
+        // the reader most recently recorded for `u`, which keeps each
+        // (u, reader) pair once.
+        let mut last = vec![usize::MAX; n];
+        let mut start = vec![0usize; n + 1];
+        let mut each_pair = |visit: &mut dyn FnMut(usize, usize)| {
+            last.fill(usize::MAX);
+            for r in 0..n {
+                for m in idx.at(SubjectNodeId::from_index(r)) {
+                    for u in m.inputs.iter().chain(&m.covered) {
+                        if last[u.index()] != r {
+                            last[u.index()] = r;
+                            visit(u.index(), r);
+                        }
+                    }
+                }
+            }
+        };
+        each_pair(&mut |u, _| start[u + 1] += 1);
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut fill = start.clone();
+        let mut nodes = vec![SubjectNodeId::from_index(0); start[n]];
+        each_pair(&mut |u, r| {
+            nodes[fill[u]] = SubjectNodeId::from_index(r);
+            fill[u] += 1;
+        });
+        Self { start, nodes }
+    }
+
+    fn of(&self, u: SubjectNodeId) -> &[SubjectNodeId] {
+        match self.start.get(u.index()..u.index() + 2) {
+            Some(&[lo, hi]) => &self.nodes[lo..hi],
+            _ => &[],
+        }
+    }
 }
 
 impl<'a> Engine<'a> {
@@ -148,6 +209,8 @@ impl<'a> Engine<'a> {
             committed_consumers: vec![Vec::new(); n],
             fanouts: g.fanouts(),
             orefs: g.output_ref_counts(),
+            stale: vec![true; n],
+            readers: Readers::default(),
             stats: MapStats { matches_enumerated, ..MapStats::default() },
         }
     }
@@ -157,46 +220,94 @@ impl<'a> Engine<'a> {
         self.stats.cuts = Some(stats);
     }
 
-    /// The covering scopes in processing order. For cones,
-    /// `cone_order` optionally reorders them (Lily's Section 3.5); for
-    /// trees, topological (root id) order is used.
-    pub fn scopes(&mut self, partition: Partition, cone_order: Option<&[usize]>) -> Vec<Scope> {
-        let scopes: Vec<Scope> = match partition {
-            Partition::Cones => {
-                let cs = cones(self.g);
-                match cone_order {
-                    Some(order) => order.iter().map(|&i| Scope::Cone(cs[i].clone())).collect(),
-                    None => cs.into_iter().map(Scope::Cone).collect(),
-                }
+    /// The covering scopes in processing order: the logic cones in
+    /// output order, or the maximal trees in topological (root id)
+    /// order.
+    pub fn scopes(&mut self, partition: Partition) -> Vec<Scope> {
+        match partition {
+            Partition::Cones => self.cone_scopes(cones(self.g), None),
+            Partition::Trees => {
+                let trees: Vec<Scope> =
+                    maximal_trees(self.g).into_iter().map(Scope::Tree).collect();
+                self.stats.scopes = trees.len();
+                trees
             }
-            Partition::Trees => maximal_trees(self.g).into_iter().map(Scope::Tree).collect(),
+        }
+    }
+
+    /// Cone scopes from already extracted `cones`, optionally reordered
+    /// by `order` (a permutation of cone indices; Lily's Section 3.5).
+    /// Also builds the reader index that lets later cones skip doves
+    /// whose solution is still exact.
+    pub(crate) fn cone_scopes(&mut self, cones: Vec<Cone>, order: Option<&[usize]>) -> Vec<Scope> {
+        let cones = match order {
+            Some(order) => {
+                let mut slots: Vec<Option<Cone>> = cones.into_iter().map(Some).collect();
+                order.iter().filter_map(|&i| slots[i].take()).collect()
+            }
+            None => cones,
         };
-        self.stats.scopes = scopes.len();
-        scopes
+        self.readers = Readers::build(&self.idx, self.g.node_count());
+        self.stats.scopes = cones.len();
+        cones.into_iter().map(Scope::Cone).collect()
     }
 
     /// Prepares node `v` for (re-)solving in the current scope:
     /// hatches eggs and invalidates stale dove solutions. Returns
-    /// `false` for hawks (already mapped, nothing to solve).
+    /// `false` when there is nothing to solve: for hawks (already
+    /// mapped) and for clean doves.
     ///
     /// Doves keep their state here: the DP *costs* them like unmapped
     /// logic (their signal does not exist), but the dove→egg
     /// reincarnation of Figure 2.2 only happens at commit time, when
     /// the duplication actually materializes. This keeps the life-cycle
     /// invariant `hatched = hawks + doves` exact.
+    ///
+    /// A dove is *clean* when nothing its stored solution read has
+    /// changed since it was solved; re-solving it would reproduce the
+    /// stored solution bit for bit. A solution at `v` reads only the
+    /// stored solutions and hawk state of its matches' inputs, and, for
+    /// every input or covered node `u` (`v` itself included),
+    /// `committed_consumers[u]` and whether each subject fanout of `u`
+    /// is unmapped (egg/nestling) or mapped (dove/hawk). Everything else
+    /// it reads is static. [`Engine::commit`] and [`Engine::record`]
+    /// mark the readers of whatever of this they change.
     pub fn visit(&mut self, v: SubjectNodeId) -> bool {
         match self.life.state(v) {
             NodeState::Hawk => false,
             NodeState::Nestling => true, // shared node already visited this cone
             NodeState::Dove => {
-                self.solved[v.index()] = false;
-                true
+                let stale = self.stale[v.index()];
+                if stale {
+                    self.solved[v.index()] = false;
+                }
+                stale
             }
             NodeState::Egg => {
                 self.life.hatch(v);
                 self.solved[v.index()] = false;
                 true
             }
+        }
+    }
+
+    /// Records the DP choice at `v` (match `chosen` into `idx.at(v)`).
+    /// `changed` says whether the solution values other nodes read
+    /// (cost, arrival, gate, position) differ bit for bit from the ones
+    /// stored before; only then do the readers of `v` go stale.
+    pub(crate) fn record(&mut self, v: SubjectNodeId, chosen: usize, changed: bool) {
+        self.chosen[v.index()] = chosen;
+        self.solved[v.index()] = true;
+        if changed {
+            self.mark_readers(v);
+        }
+        self.stale[v.index()] = false;
+    }
+
+    /// Marks stale every node whose solution reads `u`.
+    fn mark_readers(&mut self, u: SubjectNodeId) {
+        for &r in self.readers.of(u) {
+            self.stale[r.index()] = true;
         }
     }
 
@@ -258,12 +369,22 @@ impl<'a> Engine<'a> {
         let cell = self.mapped.add_cell(MappedCell { gate: m.gate, fanins, position: pos_of(v) });
         self.life.commit_hawk(v);
         self.cell_of[v.index()] = Some(cell);
+        // `v` turned hawk, which its readers and the readers of its
+        // fanins (whose fanout `v` is) see; each input gained a consumer.
+        self.mark_readers(v);
+        for f in self.g.kind(v).fanins() {
+            self.mark_readers(f);
+        }
         for (pin, &vi) in m.inputs.iter().enumerate() {
             self.committed_consumers[vi.index()].push((cell, pin));
+            self.mark_readers(vi);
         }
         for &c in &m.covered[1..] {
             if self.life.state(c) == NodeState::Nestling {
                 self.life.commit_dove(c);
+                for f in self.g.kind(c).fanins() {
+                    self.mark_readers(f);
+                }
             }
         }
         SignalSource::Cell(cell)
@@ -306,6 +427,38 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Designs for the tests that check the stale-dove rule against full
+/// re-solves.
+#[cfg(test)]
+pub(crate) mod stale_rule_designs {
+    use crate::flow::FlowOptions;
+    use crate::stage::{AssignPads, Decompose, FlowContext, SubjectPlace};
+    use lily_cells::Library;
+    use lily_netlist::SubjectGraph;
+    use lily_place::Point;
+    use lily_workloads::circuits;
+    use lily_workloads::scale::{random_dag, RandomDagOptions};
+
+    /// misex1, C432 and two 300-node random DAGs, decomposed, with the
+    /// flow's own subject placement and output pads.
+    pub(crate) fn designs(lib: &Library) -> Vec<(SubjectGraph, Vec<Point>, Vec<Point>)> {
+        let dag =
+            |seed| random_dag(RandomDagOptions { target_nodes: 300, seed, ..Default::default() });
+        [circuits::misex1(), circuits::c432(), dag(3), dag(4)]
+            .iter()
+            .map(|net| {
+                let mut ctx = FlowContext::new(lib, FlowOptions::lily_area());
+                let g = ctx.run(&Decompose, net).unwrap();
+                let plan = ctx.run(&AssignPads, &*g).unwrap();
+                let image = ctx.run(&SubjectPlace, (&*g, &plan)).unwrap();
+                let place = image.positions.unwrap();
+                let pads = plan.output_pads(&g).to_vec();
+                ((*g).clone(), place, pads)
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,9 +479,9 @@ mod tests {
         let g = graph();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let cones = e.scopes(Partition::Cones, None);
+        let cones = e.scopes(Partition::Cones);
         assert_eq!(cones.len(), 1);
-        let trees = e.scopes(Partition::Trees, None);
+        let trees = e.scopes(Partition::Trees);
         assert_eq!(trees.len(), 1); // single-fanout chain: one tree
     }
 
@@ -356,7 +509,7 @@ mod tests {
         g.set_output("y2", shared);
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let scopes = e.scopes(Partition::Trees, None);
+        let scopes = e.scopes(Partition::Trees);
         let inv_tree = scopes.iter().find(|s| s.root() == inv).expect("inverter tree");
         // and2 gate at `inv` would cover `shared`, which is outside the
         // inverter's tree.
@@ -403,12 +556,11 @@ mod tests {
         let g = graph();
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
-        let scopes = e.scopes(Partition::Cones, None);
+        let scopes = e.scopes(Partition::Cones);
         for s in &scopes {
             for &v in s.members() {
                 if e.visit(v) {
-                    e.chosen[v.index()] = 0;
-                    e.solved[v.index()] = true;
+                    e.record(v, 0, true);
                 }
             }
             e.commit(s.root(), &mut |_| (0.0, 0.0));

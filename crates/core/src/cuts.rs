@@ -298,6 +298,8 @@ impl<'l> CutMapper<'l> {
         let idx = cut_matches(g, self.lib, &index)?;
         let mut e = Engine::with_index(g, self.lib, idx);
         e.set_cut_stats(index.stats);
+        // The covering DP reads only the matches: free the cuts first.
+        drop(index);
         run_placed_dp(e, &self.options, place, output_pads)
     }
 }

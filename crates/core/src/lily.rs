@@ -18,7 +18,7 @@
 //! Cones are processed in the exit-line-minimizing order of Section 3.5
 //! unless disabled.
 
-use crate::cover::{Engine, MapMode, MapResult, Partition};
+use crate::cover::{Engine, MapMode, MapResult, Partition, Scope};
 use crate::error::MapError;
 use crate::position::{center_of_mass, manhattan_median, PositionUpdate};
 use crate::rects::{
@@ -110,6 +110,22 @@ struct Solution {
     map_pos: Point,
 }
 
+impl Solution {
+    /// Bitwise equality of everything a reader of the solution sees.
+    fn same_bits(&self, o: &Solution) -> bool {
+        let arr = |a: &Arrival, b: &Arrival| {
+            a.rise.to_bits() == b.rise.to_bits() && a.fall.to_bits() == b.fall.to_bits()
+        };
+        self.a_cost.to_bits() == o.a_cost.to_bits()
+            && self.w_cost.to_bits() == o.w_cost.to_bits()
+            && self.gate == o.gate
+            && self.map_pos.x.to_bits() == o.map_pos.x.to_bits()
+            && self.map_pos.y.to_bits() == o.map_pos.y.to_bits()
+            && self.blocks.len() == o.blocks.len()
+            && self.blocks.iter().zip(&o.blocks).all(|(a, b)| arr(a, b))
+    }
+}
+
 impl<'l> LilyMapper<'l> {
     /// Creates a mapper with the paper's default configuration
     /// (area mode, cones, CM-of-Fans, half-perimeter × Steiner factor,
@@ -194,199 +210,235 @@ pub(crate) fn run_placed_dp(
     place: &[Point],
     output_pads: &[Point],
 ) -> Result<MapResult, MapError> {
-    {
-        let g = e.g;
+    let scopes = placed_scopes(&mut e, options);
+    let mut dp = PlacedDp::new(options, place, output_pads, e.g.node_count());
+    for scope in &scopes {
+        dp.cover(&mut e, scope)?;
+    }
+    Ok(e.finish())
+}
+
+/// The covering scopes of a placed run: cones in the exit-line order of
+/// Section 3.5 when cone ordering is on, otherwise as
+/// [`Engine::scopes`] gives them.
+fn placed_scopes(e: &mut Engine<'_>, options: &MapOptions) -> Vec<Scope> {
+    if options.layout.cone_ordering && options.partition == Partition::Cones {
+        let cs = extract_cones(e.g);
+        let m = exit_line_matrix(e.g, &cs);
+        let order = order_cones(&m);
+        e.set_ordering_cost(ordering_cost(&m, &order));
+        e.cone_scopes(cs, Some(&order))
+    } else {
+        e.scopes(options.partition)
+    }
+}
+
+/// The placed DP's inputs and its stored per-node solutions.
+struct PlacedDp<'p> {
+    options: MapOptions,
+    place: &'p [Point],
+    output_pads: &'p [Point],
+    sol: Vec<Solution>,
+}
+
+impl<'p> PlacedDp<'p> {
+    fn new(options: &MapOptions, place: &'p [Point], output_pads: &'p [Point], n: usize) -> Self {
+        Self { options: *options, place, output_pads, sol: vec![Solution::default(); n] }
+    }
+
+    /// Covers one scope: solves every node the engine hands out, then
+    /// realizes the chosen cover at the stored mapPositions (step 5 of
+    /// §4.4).
+    fn cover(&mut self, e: &mut Engine<'_>, scope: &Scope) -> Result<(), MapError> {
+        for &v in scope.members() {
+            if e.visit(v) {
+                let (mi, s) = self.solve(e, scope, v)?;
+                self.store(e, v, mi, s);
+            }
+        }
+        self.commit(e, scope);
+        Ok(())
+    }
+
+    fn commit(&self, e: &mut Engine<'_>, scope: &Scope) {
+        let sol = &self.sol;
+        e.commit(scope.root(), &mut |v| sol[v.index()].map_pos.into());
+    }
+
+    /// Stores the solution of `v`; its readers go stale only if it
+    /// differs from the stored one.
+    fn store(&mut self, e: &mut Engine<'_>, v: SubjectNodeId, mi: usize, s: Solution) {
+        let changed = !s.same_bits(&self.sol[v.index()]);
+        self.sol[v.index()] = s;
+        e.record(v, mi, changed);
+    }
+
+    /// Prices every allowed match at `v` against the current covering
+    /// state; returns the best match's index and solution.
+    fn solve(
+        &self,
+        e: &Engine<'_>,
+        scope: &Scope,
+        v: SubjectNodeId,
+    ) -> Result<(usize, Solution), MapError> {
+        let (place, output_pads, sol) = (self.place, self.output_pads, &self.sol);
         let lib = e.lib;
-
-        // Cone ordering (Section 3.5).
-        let order: Option<Vec<usize>> =
-            if options.layout.cone_ordering && options.partition == Partition::Cones {
-                let cs = extract_cones(g);
-                let m = exit_line_matrix(g, &cs);
-                let order = order_cones(&m);
-                e.set_ordering_cost(ordering_cost(&m, &order));
-                Some(order)
-            } else {
-                None
-            };
-        let scopes = e.scopes(options.partition, order.as_deref());
-
-        let mut sol: Vec<Solution> = vec![Solution::default(); g.node_count()];
-        let lay = options.layout;
-        let mode = options.mode;
         let tech = *lib.technology();
+        let lay = self.options.layout;
+        let mode = self.options.mode;
+        let mut best: Option<(f64, f64, usize, Solution)> = None;
+        for (mi, m) in e.idx.at(v).iter().enumerate() {
+            if !e.match_allowed(scope, m) {
+                continue;
+            }
+            let gate = lib.gate(m.gate);
 
-        for scope in &scopes {
-            for &v in scope.members() {
-                if !e.visit(v) {
-                    continue;
+            // Input positions: pads for PIs, mapPositions for
+            // solved nodes (hawks keep theirs).
+            let in_pos: Vec<Point> = m
+                .inputs
+                .iter()
+                .map(
+                    |&vi| {
+                        if is_input(e, vi) {
+                            place[vi.index()]
+                        } else {
+                            sol[vi.index()].map_pos
+                        }
+                    },
+                )
+                .collect();
+
+            // Fanin rectangles / true fanouts (shared by both
+            // the position update and the wire cost).
+            let fans: Vec<_> = m
+                .inputs
+                .iter()
+                .map(|&vi| true_fanouts(e, vi, &m.covered, place, output_pads))
+                .collect();
+
+            // 1. Position the candidate (Section 3.2).
+            let fallback = place[v.index()];
+            let pos = match lay.position_update {
+                PositionUpdate::CmMerged => {
+                    let pts: Vec<Point> = m.covered.iter().map(|c| place[c.index()]).collect();
+                    center_of_mass(&pts, fallback)
                 }
-                let mut best: Option<(f64, f64, usize, Solution)> = None;
-                for (mi, m) in e.idx.at(v).iter().enumerate() {
-                    if !e.match_allowed(scope, m) {
-                        continue;
-                    }
-                    let gate = lib.gate(m.gate);
-
-                    // Input positions: pads for PIs, mapPositions for
-                    // solved nodes (hawks keep theirs).
-                    let in_pos: Vec<Point> = m
+                PositionUpdate::CmFans => {
+                    let mut pts = in_pos.clone();
+                    pts.extend(
+                        fanout_net_points(e, v, fallback, place, output_pads).into_iter().skip(1), // skip the placeholder gate point
+                    );
+                    center_of_mass(&pts, fallback)
+                }
+                PositionUpdate::MedianFans => {
+                    let mut rects: Vec<Rect> = m
                         .inputs
                         .iter()
-                        .map(|&vi| {
-                            if is_input(&e, vi) {
-                                place[vi.index()]
-                            } else {
-                                sol[vi.index()].map_pos
+                        .zip(&in_pos)
+                        .zip(&fans)
+                        .map(|((_vi, &p), f)| {
+                            let mut r = Rect::at(p);
+                            for &fp in &f.positions {
+                                r.expand_to(fp);
                             }
+                            r
                         })
                         .collect();
-
-                    // Fanin rectangles / true fanouts (shared by both
-                    // the position update and the wire cost).
-                    let fans: Vec<_> = m
-                        .inputs
-                        .iter()
-                        .map(|&vi| true_fanouts(&e, vi, &m.covered, place, output_pads))
-                        .collect();
-
-                    // 1. Position the candidate (Section 3.2).
-                    let fallback = place[v.index()];
-                    let pos = match lay.position_update {
-                        PositionUpdate::CmMerged => {
-                            let pts: Vec<Point> =
-                                m.covered.iter().map(|c| place[c.index()]).collect();
-                            center_of_mass(&pts, fallback)
-                        }
-                        PositionUpdate::CmFans => {
-                            let mut pts = in_pos.clone();
-                            pts.extend(
-                                fanout_net_points(&e, v, fallback, place, output_pads)
-                                    .into_iter()
-                                    .skip(1), // skip the placeholder gate point
-                            );
-                            center_of_mass(&pts, fallback)
-                        }
-                        PositionUpdate::MedianFans => {
-                            let mut rects: Vec<Rect> = m
-                                .inputs
-                                .iter()
-                                .zip(&in_pos)
-                                .zip(&fans)
-                                .map(|((_vi, &p), f)| {
-                                    let mut r = Rect::at(p);
-                                    for &fp in &f.positions {
-                                        r.expand_to(fp);
-                                    }
-                                    r
-                                })
-                                .collect();
-                            let fo = fanout_rect(&e, v, fallback, place, output_pads);
-                            rects.push(fo);
-                            manhattan_median(&rects, fallback)
-                        }
-                    };
-
-                    // 2. Accumulate area and wire costs (Section 3.4).
-                    let mut a_cost = gate.area();
-                    let mut w_cost = 0.0;
-                    for (&vi, _f) in m.inputs.iter().zip(&fans) {
-                        let contributes = !is_input(&e, vi) && e.life.state(vi) != NodeState::Hawk;
-                        if contributes {
-                            a_cost += sol[vi.index()].a_cost;
-                            w_cost += sol[vi.index()].w_cost;
-                        }
-                    }
-                    for ((&vi, &p), f) in m.inputs.iter().zip(&in_pos).zip(&fans) {
-                        let pts = fanin_net_points(p, f, pos);
-                        let share = (f.count() + 1) as f64;
-                        w_cost += net_length(lay.wire_model, &pts) / share;
-                        let _ = vi;
-                    }
-                    // Absorbing a multi-fanout node whose signal other
-                    // consumers still need forces that logic to be
-                    // duplicated later (dove reincarnation); the wire of
-                    // the net the duplicate must re-create is charged to
-                    // this match. This is the k-distribution-point
-                    // economics of Figure 1.1(a): killing a distribution
-                    // point is only free when nobody else taps it.
-                    for &c in &m.covered[1..] {
-                        let ext = true_fanouts(&e, c, &m.covered, place, output_pads);
-                        if ext.count() > 0 {
-                            let mut pts = vec![place[c.index()]];
-                            pts.extend(ext.positions.iter().copied());
-                            w_cost += net_length(lay.wire_model, &pts);
-                        }
-                    }
-
-                    // 3. Delay evaluation (Section 4.4).
-                    let (key, tiebreak, blocks) = match mode {
-                        MapMode::Area => (a_cost + lay.wire_weight * w_cost, 0.0, Vec::new()),
-                        MapMode::Delay => {
-                            let mut out = Arrival::NEG_INF;
-                            let mut blocks = Vec::with_capacity(m.inputs.len());
-                            for (pi, ((&vi, &p), f)) in
-                                m.inputs.iter().zip(&in_pos).zip(&fans).enumerate()
-                            {
-                                // Step 1: re-evaluate the fanin's output
-                                // arrival under its current load.
-                                let t_in = if is_input(&e, vi) {
-                                    Arrival::ZERO
-                                } else {
-                                    let s = &sol[vi.index()];
-                                    let fgate = lib.gate(s.gate.expect("solved"));
-                                    let rect = fanin_rect(p, f, pos);
-                                    let wire_cap = tech.wire_cap(rect.width(), rect.height());
-                                    let load =
-                                        f.total_cap() + gate.pins()[pi].capacitance + wire_cap;
-                                    let mut t = Arrival::NEG_INF;
-                                    for (bj, b) in s.blocks.iter().enumerate() {
-                                        t = t.max(ld_arrival(*b, &fgate.pins()[bj], load));
-                                    }
-                                    t
-                                };
-                                // Step 2: block arrival at the candidate.
-                                let u = unateness(gate.function(), pi);
-                                let b = block_arrival(t_in, &gate.pins()[pi], u);
-                                blocks.push(b);
-                            }
-                            // Step 3: estimated output load from the
-                            // base-function fanouts (paper §4.3).
-                            let fo_pts = fanout_net_points(&e, v, pos, place, output_pads);
-                            let fo_rect =
-                                Rect::bounding(fo_pts.iter().copied()).unwrap_or(Rect::at(pos));
-                            let cl = unmapped_fanout_count(&e, v) as f64 * tech.pin_cap
-                                + tech.wire_cap(fo_rect.width(), fo_rect.height());
-                            // Step 4: output arrival.
-                            for (pi, b) in blocks.iter().enumerate() {
-                                out = out.max(ld_arrival(*b, &gate.pins()[pi], cl));
-                            }
-                            (out.worst(), a_cost + lay.wire_weight * w_cost, blocks)
-                        }
-                    };
-
-                    if best.as_ref().is_none_or(|(bk, bt, _, _)| {
-                        key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
-                    }) {
-                        best = Some((
-                            key,
-                            tiebreak,
-                            mi,
-                            Solution { a_cost, w_cost, blocks, gate: Some(m.gate), map_pos: pos },
-                        ));
-                    }
+                    let fo = fanout_rect(e, v, fallback, place, output_pads);
+                    rects.push(fo);
+                    manhattan_median(&rects, fallback)
                 }
-                let (_, _, mi, s) = best.ok_or(MapError::NoMatch { node: v.index() })?;
-                e.chosen[v.index()] = mi;
-                e.solved[v.index()] = true;
-                sol[v.index()] = s;
+            };
+
+            // 2. Accumulate area and wire costs (Section 3.4).
+            let mut a_cost = gate.area();
+            let mut w_cost = 0.0;
+            for (&vi, _f) in m.inputs.iter().zip(&fans) {
+                let contributes = !is_input(e, vi) && e.life.state(vi) != NodeState::Hawk;
+                if contributes {
+                    a_cost += sol[vi.index()].a_cost;
+                    w_cost += sol[vi.index()].w_cost;
+                }
             }
-            // Step 5 of §4.4 / commit: realize the chosen cover at the
-            // stored mapPositions.
-            let sol_pos = |v: SubjectNodeId| -> (f64, f64) { sol[v.index()].map_pos.into() };
-            e.commit(scope.root(), &mut |v| sol_pos(v));
+            for ((&vi, &p), f) in m.inputs.iter().zip(&in_pos).zip(&fans) {
+                let pts = fanin_net_points(p, f, pos);
+                let share = (f.count() + 1) as f64;
+                w_cost += net_length(lay.wire_model, &pts) / share;
+                let _ = vi;
+            }
+            // Absorbing a multi-fanout node whose signal other
+            // consumers still need forces that logic to be
+            // duplicated later (dove reincarnation); the wire of
+            // the net the duplicate must re-create is charged to
+            // this match. This is the k-distribution-point
+            // economics of Figure 1.1(a): killing a distribution
+            // point is only free when nobody else taps it.
+            for &c in &m.covered[1..] {
+                let ext = true_fanouts(e, c, &m.covered, place, output_pads);
+                if ext.count() > 0 {
+                    let mut pts = vec![place[c.index()]];
+                    pts.extend(ext.positions.iter().copied());
+                    w_cost += net_length(lay.wire_model, &pts);
+                }
+            }
+
+            // 3. Delay evaluation (Section 4.4).
+            let (key, tiebreak, blocks) = match mode {
+                MapMode::Area => (a_cost + lay.wire_weight * w_cost, 0.0, Vec::new()),
+                MapMode::Delay => {
+                    let mut out = Arrival::NEG_INF;
+                    let mut blocks = Vec::with_capacity(m.inputs.len());
+                    for (pi, ((&vi, &p), f)) in m.inputs.iter().zip(&in_pos).zip(&fans).enumerate()
+                    {
+                        // Step 1: re-evaluate the fanin's output
+                        // arrival under its current load.
+                        let t_in = if is_input(e, vi) {
+                            Arrival::ZERO
+                        } else {
+                            let s = &sol[vi.index()];
+                            let fgate = lib.gate(s.gate.expect("solved"));
+                            let rect = fanin_rect(p, f, pos);
+                            let wire_cap = tech.wire_cap(rect.width(), rect.height());
+                            let load = f.total_cap() + gate.pins()[pi].capacitance + wire_cap;
+                            let mut t = Arrival::NEG_INF;
+                            for (bj, b) in s.blocks.iter().enumerate() {
+                                t = t.max(ld_arrival(*b, &fgate.pins()[bj], load));
+                            }
+                            t
+                        };
+                        // Step 2: block arrival at the candidate.
+                        let u = unateness(gate.function(), pi);
+                        let b = block_arrival(t_in, &gate.pins()[pi], u);
+                        blocks.push(b);
+                    }
+                    // Step 3: estimated output load from the
+                    // base-function fanouts (paper §4.3).
+                    let fo_pts = fanout_net_points(e, v, pos, place, output_pads);
+                    let fo_rect = Rect::bounding(fo_pts.iter().copied()).unwrap_or(Rect::at(pos));
+                    let cl = unmapped_fanout_count(e, v) as f64 * tech.pin_cap
+                        + tech.wire_cap(fo_rect.width(), fo_rect.height());
+                    // Step 4: output arrival.
+                    for (pi, b) in blocks.iter().enumerate() {
+                        out = out.max(ld_arrival(*b, &gate.pins()[pi], cl));
+                    }
+                    (out.worst(), a_cost + lay.wire_weight * w_cost, blocks)
+                }
+            };
+
+            if best.as_ref().is_none_or(|(bk, bt, _, _)| {
+                key < bk - 1e-12 || (key < bk + 1e-12 && tiebreak < bt - 1e-12)
+            }) {
+                best = Some((
+                    key,
+                    tiebreak,
+                    mi,
+                    Solution { a_cost, w_cost, blocks, gate: Some(m.gate), map_pos: pos },
+                ));
+            }
         }
-        Ok(e.finish())
+        let (_, _, mi, s) = best.ok_or(MapError::NoMatch { node: v.index() })?;
+        Ok((mi, s))
     }
 }
 
@@ -546,5 +598,60 @@ mod tests {
             lily.mapped.cell_count(),
             mis.mapped.cell_count()
         );
+    }
+
+    /// Runs the placed DP cone by cone like [`run_placed_dp`], but
+    /// re-solves every dove the engine skips as clean and asserts that
+    /// the stored choice and solution are bit-identical to the re-solve.
+    /// Returns how many skipped doves it checked.
+    fn check_clean_doves(
+        mut e: Engine<'_>,
+        options: &MapOptions,
+        place: &[Point],
+        pads: &[Point],
+    ) -> usize {
+        let scopes = placed_scopes(&mut e, options);
+        let mut dp = PlacedDp::new(options, place, pads, e.g.node_count());
+        let mut checked = 0;
+        for scope in &scopes {
+            for &v in scope.members() {
+                let dove = e.life.state(v) == NodeState::Dove;
+                if e.visit(v) {
+                    let (mi, s) = dp.solve(&e, scope, v).unwrap();
+                    dp.store(&mut e, v, mi, s);
+                } else if dove {
+                    let (mi, s) = dp.solve(&e, scope, v).unwrap();
+                    assert_eq!(mi, e.chosen[v.index()], "dove {v}: choice");
+                    assert!(s.same_bits(&dp.sol[v.index()]), "dove {v}: solution");
+                    checked += 1;
+                }
+            }
+            dp.commit(&mut e, scope);
+        }
+        checked
+    }
+
+    #[test]
+    fn skipped_doves_match_a_full_re_solve() {
+        use crate::cover::stale_rule_designs::designs;
+        use crate::cuts::{cut_matches, CutIndex};
+        use lily_netlist::CutConfig;
+        let lib = Library::big();
+        for (g, place, pads) in designs(&lib) {
+            for mode in [MapMode::Area, MapMode::Delay] {
+                let options = MapOptions { mode, ..MapOptions::default() };
+                let lily =
+                    check_clean_doves(Engine::new(&g, &lib).unwrap(), &options, &place, &pads);
+                let cuts = CutIndex::build(&g, &CutConfig::default()).unwrap();
+                let idx = cut_matches(&g, &lib, &cuts).unwrap();
+                let cut =
+                    check_clean_doves(Engine::with_index(&g, &lib, idx), &options, &place, &pads);
+                let name = g.name();
+                assert!(
+                    lily > 0 && cut > 0,
+                    "{name} {mode:?}: no dove was skipped ({lily}, {cut})"
+                );
+            }
+        }
     }
 }

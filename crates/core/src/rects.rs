@@ -224,12 +224,12 @@ mod tests {
         let lib = Library::big();
         let mut e = Engine::new(&g, &lib).unwrap();
         // Commit the inverter cone by hand (chosen match 0 everywhere).
-        let scopes = e.scopes(crate::cover::Partition::Cones, None);
+        let scopes = e.scopes(crate::cover::Partition::Cones);
         let cone0 = &scopes[0];
         for &v in cone0.members() {
             if e.visit(v) {
-                e.chosen[v.index()] = pick_base_match(&e, v);
-                e.solved[v.index()] = true;
+                let mi = pick_base_match(&e, v);
+                e.record(v, mi, true);
             }
         }
         e.commit(cone0.root(), &mut |_| (77.0, 7.0));

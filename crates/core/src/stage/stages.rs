@@ -16,6 +16,7 @@ use crate::stage::{FlowContext, MapImage, Mapper, Stage, StageArtifact};
 use lily_cells::{Library, MappedNetwork, SignalSource};
 use lily_netlist::decompose::decompose;
 use lily_netlist::{Network, SubjectGraph};
+use lily_par::ParOptions;
 use lily_place::anneal::{try_anneal_cancel, AnnealOptions};
 use lily_place::global::{try_global_place_cancel, GlobalOptions};
 use lily_place::legalize::{improve, legalize, LegalizeOptions, Legalized};
@@ -607,7 +608,7 @@ impl Stage<LegalPlacement> for DetailedPlace {
         if let Some(legal) = legal {
             let lopts =
                 LegalizeOptions { core, row_height: tech.row_height, passes: IMPROVEMENT_PASSES };
-            let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts);
+            let better = improve(&legal, &widths, &problem.nets, &fixed, &lopts, &ctx.cancel)?;
             for (i, p) in better.positions.iter().enumerate() {
                 mapped.cells_mut()[i].position = (p.x, p.y);
             }
@@ -701,14 +702,14 @@ impl<'a> Stage<&'a PlacedDesign> for RouteEstimate {
         // Routed wire length: Steiner per net, inflated by congestion.
         let nets = mapped.nets();
         let mut grid = CongestionGrid::for_core(core, tech.row_height, ROUTE_SUPPLY);
-        let per_net: Vec<(Vec<Point>, f64)> = nets
-            .iter()
-            .map(|n| {
+        let cancel = ctx.cancel.clone();
+        let per_net: Vec<(Vec<Point>, f64)> =
+            lily_par::try_par_map(&ParOptions::current(), &nets, |n| {
+                cancel.check().map_err(|_| MapError::Cancelled { context: "route-estimate" })?;
                 let pts = lily_timing::load::net_points(mapped, n);
                 let len = rsmt_length(&pts);
-                (pts, len)
-            })
-            .collect();
+                Ok::<_, MapError>((pts, len))
+            })?;
         for (pts, len) in &per_net {
             grid.deposit(pts, *len);
         }

@@ -114,6 +114,37 @@ fn injected_stage_error_is_retried_and_recovers() {
     assert_eq!(run.metrics.degradations, clean.metrics.degradations);
 }
 
+/// A `Cancel` fault on invocation 0 of `stage` must be observed by the
+/// stage's own poll points: the attempt fails, one retry runs clean, and
+/// the figures equal a fault-free run.
+fn cancel_is_retried_and_recovers(stage: &'static str) {
+    let lib = Library::big();
+    let net = circuits::misex1();
+    let opts = FlowOptions::lily_area();
+    let mut plan = FaultPlan::new();
+    plan.push(stage, 0, FaultKind::Cancel);
+    let (result, report) = run_under_plan(&net, &lib, &opts, &plan);
+    let run = result.expect("a cancelled attempt must be retried away");
+    assert_eq!(report.fired.len(), 1, "{stage}: {report:?}");
+    assert_eq!(run.metrics.retries, 1, "{stage}: the cancellation must cost one retry");
+    let clean = opts.run_detailed(&net, &lib).expect("clean flow");
+    assert_eq!(run.metrics.cells, clean.metrics.cells);
+    assert_eq!(run.metrics.wire_length.to_bits(), clean.metrics.wire_length.to_bits());
+    assert_eq!(run.metrics.chip_area.to_bits(), clean.metrics.chip_area.to_bits());
+    assert_eq!(run.metrics.critical_delay.to_bits(), clean.metrics.critical_delay.to_bits());
+    assert_eq!(run.metrics.degradations, clean.metrics.degradations);
+}
+
+#[test]
+fn cancelled_detailed_place_is_retried_and_recovers() {
+    cancel_is_retried_and_recovers("detailed-place");
+}
+
+#[test]
+fn cancelled_route_estimate_is_retried_and_recovers() {
+    cancel_is_retried_and_recovers("route-estimate");
+}
+
 #[test]
 fn injected_errors_beyond_the_retry_budget_stay_typed() {
     let lib = Library::big();

@@ -104,60 +104,74 @@ pub fn maximal_trees(g: &SubjectGraph) -> Vec<Tree> {
 /// Builds the asymmetric exit-line matrix `E` of Section 3.5:
 /// `E[i][j]` is the number of edges from a node in cone `i` to a node
 /// outside cone `i` that belongs to cone `j`. Diagonal entries are zero.
+///
+/// Computed as a bit-matrix product over the edges: per cone, one bitset
+/// of the edges that exit it and one of the edges that enter it, so
+/// `E[i][j] = |exits(i) ∩ enters(j)|`. An edge `u → v` out of a node with
+/// a single consumer joins exactly the cones of `v` (a cone holding `u`
+/// must hold its only fanout), so it exits none and is left out.
 pub fn exit_line_matrix(g: &SubjectGraph, cones: &[Cone]) -> Vec<Vec<usize>> {
-    let n = g.node_count();
-    // Membership bitsets: word-packed, one row per cone.
-    let words = n.div_ceil(64);
-    let mut member: Vec<Vec<u64>> = vec![vec![0u64; words]; cones.len()];
+    let fanout = g.fanout_counts();
+    let orefs = g.output_ref_counts();
+    let edges: Vec<(SubjectNodeId, SubjectNodeId)> = g
+        .node_ids()
+        .flat_map(|v| g.kind(v).fanins().map(move |u| (u, v)))
+        .filter(|&(u, _)| {
+            !matches!(g.kind(u), SubjectKind::Input(_)) && fanout[u.index()] + orefs[u.index()] > 1
+        })
+        .collect();
+    let words = edges.len().div_ceil(64).max(1);
+    let mut exits = vec![0u64; cones.len() * words];
+    let mut enters = vec![0u64; cones.len() * words];
+    let mut member = vec![false; g.node_count()];
     for (ci, cone) in cones.iter().enumerate() {
         for &m in &cone.members {
-            member[ci][m.index() / 64] |= 1 << (m.index() % 64);
+            member[m.index()] = true;
         }
-    }
-    let in_cone = |ci: usize, node: SubjectNodeId| {
-        member[ci][node.index() / 64] >> (node.index() % 64) & 1 == 1
-    };
-
-    let mut e = vec![vec![0usize; cones.len()]; cones.len()];
-    for v in g.node_ids() {
-        for u in g.kind(v).fanins() {
-            if matches!(g.kind(u), SubjectKind::Input(_)) {
-                continue;
-            }
-            // Edge u -> v: exit line of every cone containing u but not v,
-            // charged to every cone containing v.
-            for (i, ei) in e.iter_mut().enumerate() {
-                if in_cone(i, u) && !in_cone(i, v) {
-                    for (j, eij) in ei.iter_mut().enumerate() {
-                        if j != i && in_cone(j, v) {
-                            *eij += 1;
-                        }
-                    }
-                }
+        let (x, y) = (&mut exits[ci * words..], &mut enters[ci * words..]);
+        for (ei, &(u, v)) in edges.iter().enumerate() {
+            let bit = 1u64 << (ei % 64);
+            if member[v.index()] {
+                y[ei / 64] |= bit;
+            } else if member[u.index()] {
+                x[ei / 64] |= bit;
             }
         }
+        for &m in &cone.members {
+            member[m.index()] = false;
+        }
     }
-    e
+    // `exits(i)` and `enters(i)` are disjoint, so the diagonal comes out
+    // zero.
+    exits
+        .chunks_exact(words)
+        .map(|x| {
+            enters
+                .chunks_exact(words)
+                .map(|y| x.iter().zip(y).map(|(a, b)| (a & b).count_ones() as usize).sum())
+                .collect()
+        })
+        .collect()
 }
 
 /// The greedy cone ordering of Section 3.5: repeatedly select the row
 /// with minimum remaining row sum, emit it, and delete its row and
-/// column. Returns cone indices in mapping order.
+/// column. Returns cone indices in mapping order. Ties go to the lowest
+/// index. Row sums are kept running: deleting a column subtracts it
+/// from every remaining row.
 pub fn order_cones(e: &[Vec<usize>]) -> Vec<usize> {
     let n = e.len();
-    let mut remaining: Vec<usize> = (0..n).collect();
+    let mut row: Vec<usize> = e.iter().map(|r| r.iter().sum()).collect();
+    let mut done = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    while !remaining.is_empty() {
-        let (pos, &best) = remaining
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, &i)| {
-                let row: usize = remaining.iter().map(|&j| e[i][j]).sum();
-                (row, i) // deterministic tie-break by index
-            })
-            .expect("non-empty");
+    while let Some(best) = (0..n).filter(|&i| !done[i]).min_by_key(|&i| (row[i], i)) {
         order.push(best);
-        remaining.remove(pos);
+        done[best] = true;
+        for (i, r) in row.iter_mut().enumerate() {
+            if !done[i] {
+                *r -= e[i][best];
+            }
+        }
     }
     order
 }
@@ -302,5 +316,97 @@ mod tests {
         assert_eq!(cs.len(), 1);
         assert!(cs[0].members.is_empty());
         assert_eq!(cs[0].root, a);
+    }
+
+    /// xorshift64* — deterministic, dependency-free test randomness.
+    struct Rng(u64);
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            let mut x = self.0;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            self.0 = x;
+            (x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n as u64) as usize
+        }
+    }
+
+    /// A random DAG with several outputs, some driven by shared logic.
+    fn random_dag(rng: &mut Rng, inputs: usize, gates: usize, outputs: usize) -> SubjectGraph {
+        let mut g = SubjectGraph::new("r");
+        let mut nodes: Vec<SubjectNodeId> =
+            (0..inputs).map(|i| g.add_input(format!("i{i}"))).collect();
+        for _ in 0..gates {
+            let a = nodes[rng.below(nodes.len())];
+            let n = if rng.below(4) == 0 {
+                g.inv(a)
+            } else {
+                g.nand2(a, nodes[rng.below(nodes.len())])
+            };
+            nodes.push(n);
+        }
+        for o in 0..outputs {
+            let d = nodes[inputs + rng.below(gates)];
+            g.set_output(format!("o{o}"), d);
+        }
+        g
+    }
+
+    /// `E` straight from its definition: every edge, every ordered cone
+    /// pair.
+    fn exit_lines_by_definition(g: &SubjectGraph, cones: &[Cone]) -> Vec<Vec<usize>> {
+        let mut e = vec![vec![0usize; cones.len()]; cones.len()];
+        for v in g.node_ids() {
+            for u in g.kind(v).fanins() {
+                if matches!(g.kind(u), SubjectKind::Input(_)) {
+                    continue;
+                }
+                for (i, ci) in cones.iter().enumerate() {
+                    if !ci.members.contains(&u) || ci.members.contains(&v) {
+                        continue;
+                    }
+                    for (j, cj) in cones.iter().enumerate() {
+                        if j != i && cj.members.contains(&v) {
+                            e[i][j] += 1;
+                        }
+                    }
+                }
+            }
+        }
+        e
+    }
+
+    /// The greedy ordering recomputing every remaining row sum per step.
+    fn order_by_definition(e: &[Vec<usize>]) -> Vec<usize> {
+        let mut remaining: Vec<usize> = (0..e.len()).collect();
+        let mut order = Vec::new();
+        while let Some((pos, _)) = remaining
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, &i)| (remaining.iter().map(|&j| e[i][j]).sum::<usize>(), i))
+        {
+            order.push(remaining.remove(pos));
+        }
+        order
+    }
+
+    #[test]
+    fn exit_lines_and_ordering_match_their_definitions_on_random_dags() {
+        let mut rng = Rng(0x0c0e_5eed_2024_0001);
+        for _ in 0..40 {
+            let (ni, ng, no) = (2 + rng.below(6), 5 + rng.below(60), 1 + rng.below(12));
+            let g = random_dag(&mut rng, ni, ng, no);
+            let cs = cones(&g);
+            let e = exit_line_matrix(&g, &cs);
+            assert_eq!(e, exit_lines_by_definition(&g, &cs));
+            assert_eq!(order_cones(&e), order_by_definition(&e));
+        }
+        // Arbitrary matrices too, nonzero diagonals and ties included.
+        for _ in 0..40 {
+            let n = rng.below(9);
+            let e: Vec<Vec<usize>> =
+                (0..n).map(|_| (0..n).map(|_| rng.below(4)).collect()).collect();
+            assert_eq!(order_cones(&e), order_by_definition(&e));
+        }
     }
 }

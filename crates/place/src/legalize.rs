@@ -6,8 +6,10 @@
 //! global positions, packed without overlap, and improved by greedy
 //! HPWL-reducing swaps.
 
+use crate::error::PlaceError;
 use crate::geom::{Point, Rect};
 use crate::quadratic::PinRef;
+use lily_fault::CancelToken;
 
 /// Options for [`legalize`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -164,19 +166,30 @@ fn net_hpwl(pins: &[PinRef], positions: &[Point], fixed: &[Point]) -> Option<f64
 /// after `opts.passes` rounds. This stands in for the annealing-based
 /// detailed placers of the paper's era and, importantly, converges to
 /// similar quality from different starting placements (low noise).
+///
+/// `cancel` is polled once per sweep (each median pass and each swap
+/// sweep).
+///
+/// # Errors
+///
+/// [`PlaceError::Cancelled`] when the token trips; the input placement
+/// stays the caller's to use.
 pub fn improve(
     legal: &Legalized,
     widths: &[f64],
     nets: &[Vec<PinRef>],
     fixed: &[Point],
     opts: &LegalizeOptions,
-) -> Legalized {
+    cancel: &CancelToken,
+) -> Result<Legalized, PlaceError> {
+    let poll = || cancel.check().map_err(|_| PlaceError::Cancelled { context: "detailed-place" });
     let mut best = legal.clone();
     let mut best_cost = hpwl(nets, &best.positions, fixed);
     let inc = Incidence::new(nets, widths.len());
 
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for _ in 0..opts.passes.max(1) {
+        poll()?;
         // Median relocation: optimal per-cell location given the rest.
         let mut desired = best.positions.clone();
         for (cell, slot) in desired.iter_mut().enumerate() {
@@ -202,7 +215,7 @@ pub fn improve(
             }
         }
         let relocated = legalize(widths, &desired, opts);
-        let swapped = swap_pass(&relocated, widths, &inc, fixed);
+        let swapped = swap_pass(&relocated, widths, &inc, fixed, &poll)?;
         let cost = hpwl(nets, &swapped.positions, fixed);
         if cost + 1e-9 < best_cost {
             best = swapped;
@@ -212,12 +225,8 @@ pub fn improve(
         }
     }
     // One final swap polish on the best solution.
-    let polished = swap_pass(&best, widths, &inc, fixed);
-    if hpwl(nets, &polished.positions, fixed) < best_cost {
-        polished
-    } else {
-        best
-    }
+    let polished = swap_pass(&best, widths, &inc, fixed, &poll)?;
+    Ok(if hpwl(nets, &polished.positions, fixed) < best_cost { polished } else { best })
 }
 
 /// The nets' pins and each movable module's nets, flattened into
@@ -276,7 +285,13 @@ impl Incidence {
 }
 
 /// Up to four sweeps of adjacent-swap improvement within rows.
-fn swap_pass(legal: &Legalized, widths: &[f64], inc: &Incidence, fixed: &[Point]) -> Legalized {
+fn swap_pass(
+    legal: &Legalized,
+    widths: &[f64],
+    inc: &Incidence,
+    fixed: &[Point],
+    poll: &dyn Fn() -> Result<(), PlaceError>,
+) -> Result<Legalized, PlaceError> {
     let mut out = legal.clone();
     // Every net's current HPWL. Only an accepted swap moves cells, and
     // it stores its nets' new values, so a pair's cost before the trial
@@ -287,6 +302,7 @@ fn swap_pass(legal: &Legalized, widths: &[f64], inc: &Incidence, fixed: &[Point]
     let mut trial: Vec<Option<f64>> = Vec::new();
 
     for _ in 0..4 {
+        poll()?;
         let mut improved = false;
         for r in 0..out.rows.len() {
             for i in 0..out.rows[r].len().saturating_sub(1) {
@@ -326,7 +342,7 @@ fn swap_pass(legal: &Legalized, widths: &[f64], inc: &Incidence, fixed: &[Point]
             break;
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -391,9 +407,13 @@ mod tests {
             vec![PinRef::Movable(1), PinRef::Fixed(1)],
         ];
         let before = hpwl(&nets, &legal.positions, &fixed);
-        let better = improve(&legal, &widths, &nets, &fixed, &o);
+        let better = improve(&legal, &widths, &nets, &fixed, &o, &CancelToken::never()).unwrap();
         let after = hpwl(&nets, &better.positions, &fixed);
         assert!(after < before, "{after} !< {before}");
+        let token = CancelToken::new();
+        token.cancel();
+        let got = improve(&legal, &widths, &nets, &fixed, &o, &token);
+        assert!(matches!(got, Err(PlaceError::Cancelled { .. })), "{got:?}");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //!
 //! Run with `cargo run --release --example placement_tour`.
 
+use lily::fault::CancelToken;
 use lily::netlist::decompose::{decompose, DecomposeOrder};
 use lily::place::global::{quadrant_balance, try_global_place, GlobalOptions};
 use lily::place::legalize::{hpwl, improve, legalize, LegalizeOptions};
@@ -44,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let lopts = LegalizeOptions { core, row_height: 100.0, passes: 4 };
     let legal = legalize(&widths, &gp.positions, &lopts);
     let before = hpwl(&problem.nets, &legal.positions, &pads);
-    let better = improve(&legal, &widths, &problem.nets, &pads, &lopts);
+    let better = improve(&legal, &widths, &problem.nets, &pads, &lopts, &CancelToken::never())?;
     let after = hpwl(&problem.nets, &better.positions, &pads);
     println!(
         "legalized into {} rows; HPWL {:.0} µm → {:.0} µm after improvement",
